@@ -5,20 +5,23 @@ The reference models in :mod:`repro.hardware.cache` and
 slow when a figure sweeps millions of coalesced transactions.  This module
 re-implements the same three policies with numpy batch kernels:
 
-* :class:`VectorLruCache` -- fully associative LRU.  Processes a stream in
-  chunks of at most ``min(capacity, 8192)`` accesses.  Within a chunk every
-  re-access is a guaranteed hit (a chunk is shorter than the capacity, so
-  nothing evicts between two touches of the same key), and accesses to
-  pre-chunk residents hit iff ``depth + new_distinct_before < capacity`` --
-  a stack-distance test resolved with two cumulative bounds and an exact
-  dominance count for the few accesses that land between the bounds.
-* :class:`VectorSetAssociativeCache` -- set-associative LRU.  Transactions
-  are grouped per set; short sub-streams replay column-by-column against a
-  ``(sets, ways)`` timestamp register file (each Python-level step retires
-  one transaction for *every* active set at once), long low-diversity ones
-  take a first-occurrence shortcut, and long high-diversity ones are
-  concatenated into one shared stack-distance kernel
-  (:meth:`~VectorSetAssociativeCache._replay_windows`).
+* :class:`VectorLruCache` -- fully associative LRU.  When a batch's
+  distinct keys, the resident stack included, fit the capacity, nothing
+  is evicted: every re-touch hits and one packed sort decides every
+  access (the no-eviction path).  Otherwise the stream is processed in
+  chunks of at most ``min(capacity, 4096)`` accesses.  Within a chunk
+  every re-access is a guaranteed hit (a chunk is shorter than the
+  capacity, so nothing evicts between two touches of the same key), and
+  accesses to pre-chunk residents hit iff
+  ``depth + new_distinct_before < capacity`` -- a stack-distance test
+  resolved with two cumulative bounds and an exact dominance count for
+  the few accesses that land between the bounds.
+* :class:`VectorSetAssociativeCache` -- set-associative LRU, replayed by
+  one stack-distance kernel (Mattson et al., 1970): an access hits iff
+  fewer than ``ways`` distinct lines of its set were touched since its
+  previous use.  Cheap bounds settle most accesses; lag passes over the
+  whole batch at once resolve the rest (see
+  :meth:`VectorSetAssociativeCache._replay`).
 * :class:`VectorLruTlb` -- :class:`VectorLruCache` plus first-touch (cold
   miss) tracking, mirroring :class:`repro.hardware.tlb.LruTlb`.
 
@@ -32,7 +35,6 @@ path uses.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterable, Optional
 
 import numpy as np
@@ -47,24 +49,10 @@ from ..errors import ConfigurationError
 #: the standard sweeps among 1k-16k).
 _CHUNK = 4096
 
-#: Position bits packed next to a key when stable-sorting ``(key, pos)``
-#: pairs as one int64.  Bounds the batch length one packed sort can cover.
-_POS_BITS = 21
-_POS_CAP = 1 << _POS_BITS
-
-#: Sorts below every valid way timestamp (those are >= -1): selects a
-#: matching way ahead of the LRU way in the column machine's fused pick.
-_MATCH_RANK = np.int64(-(2**62))
-
-#: Set sub-streams at least this long get the low-diversity fast path
-#: (see ``VectorSetAssociativeCache._replay_hot_segment``).
-_HOT_SEGMENT = 512
-
-#: Set sub-streams at least this long that are *not* low-diversity are
-#: replayed with the lag-window stack-distance kernel rather than the
-#: column machine, which would otherwise degenerate to one near-empty
-#: column per transaction.
-_WINDOW_SEGMENT = 512
+#: Longest batch one set-associative replay covers.  Bounds the kernel's
+#: temporaries and keeps its positions (batch plus resident prefixes)
+#: well inside int32.
+_SET_BATCH = 1 << 21
 
 
 def _emit_model_counters(name: str, accesses: int, hits: int) -> None:
@@ -74,56 +62,17 @@ def _emit_model_counters(name: str, accesses: int, hits: int) -> None:
     obs.add(f"model.{name}.misses", float(accesses - hits))
 
 
-def _dense_ids(keys: np.ndarray, extra: np.ndarray):
-    """Rank-compress ``extra + keys`` into dense ids with one packed sort.
+def _packed_sort(keys: np.ndarray):
+    """Stable sort of int64 keys in one packed int64 sort.
 
-    Returns ``(key_ids, extra_ids, id_to_key)`` where ids index
-    ``id_to_key``.  Avoids ``np.unique`` (mergesort) by packing the
-    position into the low bits and using the default sort.
+    Returns ``(sorted_keys, positions)``.  Packs each element's position
+    into the low bits below its key, so the default (unstable, fast) sort
+    orders equal keys by position; the position field is sized from the
+    length, so keys must fit in the remaining bits.
     """
-    both = np.concatenate([extra, keys]) if len(extra) else keys
-    n = len(both)
-    if n == 0:
-        empty = np.empty(0, np.int64)
-        return empty, empty, empty
-    packed = np.sort((both << _POS_BITS) | np.arange(n, dtype=np.int64))
-    skey = packed >> _POS_BITS
-    spos = packed & (_POS_CAP - 1)
-    new_group = np.ones(n, bool)
-    new_group[1:] = skey[1:] != skey[:-1]
-    gid = np.cumsum(new_group, dtype=np.int64) - 1
-    ids = np.empty(n, np.int64)
-    ids[spos] = gid
-    id_to_key = skey[new_group]
-    return ids[len(extra):], ids[: len(extra)], id_to_key
-
-
-def _segment_distinct(
-    k_keys: np.ndarray,
-    starts: np.ndarray,
-    seg_len: np.ndarray,
-    segs: np.ndarray,
-) -> np.ndarray:
-    """Distinct-line count of each chosen segment, in one packed sort.
-
-    Works on the set-grouped stream: a line maps to exactly one set, so
-    grouping the chosen segments' values globally by line is grouping
-    them per segment.
-    """
-    lens = seg_len[segs]
-    off = np.zeros(len(segs) + 1, np.int64)
-    np.cumsum(lens, out=off[1:])
-    total = int(off[-1])
-    sid = np.repeat(np.arange(len(segs)), lens)
-    idx = np.arange(total) + np.repeat(starts[segs] - off[:-1], lens)
-    packed = np.sort(
-        (k_keys[idx] << _POS_BITS) | np.arange(total, dtype=np.int64)
-    )
-    pk = packed >> _POS_BITS
-    group_start = np.ones(total, bool)
-    group_start[1:] = pk[1:] != pk[:-1]
-    first_pos = (packed & (_POS_CAP - 1))[group_start]
-    return np.bincount(sid[first_pos], minlength=len(segs))
+    bits = max(len(keys) - 1, 1).bit_length()
+    packed = np.sort((keys << bits) | np.arange(len(keys), dtype=np.int64))
+    return packed >> bits, packed & ((1 << bits) - 1)
 
 
 class VectorLruCache:
@@ -171,16 +120,33 @@ class VectorLruCache:
         n = len(lines)
         if n == 0:
             return np.zeros(0, bool)
-        hit_mask = np.empty(n, bool)
-        limit = _POS_CAP - self.capacity_lines - 1
-        for lo in range(0, n, limit):
-            batch = lines[lo : lo + limit]
-            keys, stack_ids, id_to_key = _dense_ids(batch, self._stack)
-            hits, stack = _lru_replay(
-                keys, self.capacity_lines, stack_ids, len(id_to_key)
+        # The residents go first, LRU to MRU, as pseudo-accesses.
+        n_resident = len(self._stack)
+        both = np.concatenate([self._stack[::-1], lines])
+        keys, at = _packed_sort(both)
+        group_start = np.ones(len(both), bool)
+        np.not_equal(keys[1:], keys[:-1], out=group_start[1:])
+        distinct = int(np.count_nonzero(group_start))
+        if distinct <= self.capacity_lines:
+            # No-eviction path: every key fits, so an access hits iff its
+            # key was resident or touched earlier in the batch, and the
+            # new stack is every key by last touch.
+            hit = np.ones(len(both), bool)
+            hit[at[group_start]] = False
+            hit_mask = hit[n_resident:]
+            group_last = np.ones(len(both), bool)
+            group_last[:-1] = group_start[1:]
+            self._stack = both[np.sort(at[group_last])[::-1]]
+        else:
+            ids = np.empty(len(both), np.int64)
+            ids[at] = np.cumsum(group_start, dtype=np.int64) - 1
+            hit_mask, stack = _lru_replay(
+                ids[n_resident:],
+                self.capacity_lines,
+                ids[:n_resident][::-1],
+                distinct,
             )
-            self._stack = id_to_key[stack]
-            hit_mask[lo : lo + limit] = hits
+            self._stack = keys[group_start][stack]
         nhit = int(np.count_nonzero(hit_mask))
         self.hits += nhit
         self.misses += n - nhit
@@ -320,10 +286,9 @@ class VectorSetAssociativeCache:
     """Set-associative LRU over line numbers, batch-vectorized.
 
     Interface-compatible with
-    :class:`repro.hardware.cache.SetAssociativeCache`.  State lives in a
-    ``(sets, ways)`` pair of arrays: the resident line per way and the
-    timestamp of its last touch; eviction picks the stalest way, which is
-    exactly LRU.
+    :class:`repro.hardware.cache.SetAssociativeCache`.  State is one
+    ``(sets, ways)`` array: each row holds its set's resident lines
+    right-aligned in LRU-to-MRU order, ``-1`` marking an empty way.
     """
 
     #: See :attr:`VectorLruCache.obs_name`.
@@ -346,15 +311,11 @@ class VectorSetAssociativeCache:
         self.ways = ways
         self.num_sets = max(1, capacity_lines // ways)
         self._tags = np.full((self.num_sets, ways), -1, np.int64)
-        self._ts = np.full((self.num_sets, ways), -1, np.int64)
-        self._clock = 0
         self.hits = 0
         self.misses = 0
 
     def reset(self) -> None:
         self._tags.fill(-1)
-        self._ts.fill(-1)
-        self._clock = 0
         self.hits = 0
         self.misses = 0
 
@@ -365,9 +326,9 @@ class VectorSetAssociativeCache:
         if n == 0:
             return np.zeros(0, bool)
         hit_mask = np.empty(n, bool)
-        for lo in range(0, n, _POS_CAP):
-            batch = lines[lo : lo + _POS_CAP]
-            hit_mask[lo : lo + _POS_CAP] = self._replay(batch)
+        for lo in range(0, n, _SET_BATCH):
+            batch = lines[lo : lo + _SET_BATCH]
+            hit_mask[lo : lo + _SET_BATCH] = self._replay(batch)
         nhit = int(np.count_nonzero(hit_mask))
         self.hits += nhit
         self.misses += n - nhit
@@ -376,284 +337,134 @@ class VectorSetAssociativeCache:
         return hit_mask
 
     def _replay(self, lines: np.ndarray) -> np.ndarray:
+        """Exactly replay one batch with a stack-distance kernel.
+
+        Under LRU an access hits iff its line was touched before and fewer
+        than ``ways`` distinct lines of its set were touched since.  A line
+        maps to exactly one set, so once the batch is grouped by set the
+        whole batch is one stream: no reuse window crosses a set boundary.
+
+        1. Group the batch by set, keeping each set's arrival order, and
+           put the set's residents (LRU to MRU) in front as
+           pseudo-accesses, so carried state needs no special casing.
+        2. Drop immediate repeats: a repeat of the set's previous line
+           hits the MRU way and leaves the LRU order unchanged.
+        3. Get each position's previous and next occurrence of its line
+           from one packed sort.
+        4. Settle the easy cases: a first touch misses; a reuse window
+           shorter than ``ways`` hits; a set with at most ``ways``
+           distinct lines evicts nothing, so its re-touches hit; and
+           ``ways`` first touches inside the window make a miss.
+        5. Resolve the rest with lag passes.  Position ``i - lag`` is
+           *alive* at ``i`` iff its line's next occurrence is at or after
+           ``i``, so the alive count over the last ``lag`` positions is
+           the distinct-line count of that suffix of the window.  An
+           access retires as a miss once that count reaches ``ways``, and
+           as a hit once the count plus the positions still unvisited
+           stays below ``ways``.
+        6. Rebuild each touched set from its last ``ways`` distinct lines
+           (LRU inclusion: the content is the most recently used ones).
+        """
         n = len(lines)
-        sets = lines % self.num_sets
-        # Group transactions per set (stable by position), keeping each
-        # set's sub-stream in arrival order.
-        order = np.sort((sets << _POS_BITS) | np.arange(n, dtype=np.int64))
-        pos = order & (_POS_CAP - 1)
-        sval = order >> _POS_BITS
-        skeys = lines[pos]
+        ways = self.ways
+        # 1. Group by set; ``src`` maps a stream position to its batch
+        # position (-1 for a resident pseudo-access).
+        set_of, src = _packed_sort(lines % self.num_sets)
         seg_start = np.ones(n, bool)
-        seg_start[1:] = sval[1:] != sval[:-1]
+        np.not_equal(set_of[1:], set_of[:-1], out=seg_start[1:])
+        touched = set_of[seg_start]
+        del set_of
+        stream = lines[src]
+        resident = self._tags[touched]
+        held = resident >= 0
+        if held.any():
+            starts = np.nonzero(seg_start)[0]
+            held_per_set = held.sum(axis=1)
+            shift = np.cumsum(held_per_set)
+            at = np.arange(n) + np.repeat(shift, np.diff(starts, append=n))
+            starts += shift - held_per_set
+            total = n + int(shift[-1])
+            row, col = np.nonzero(held)
+            merged = np.empty(total, np.int64)
+            merged[at] = stream
+            merged[starts[row] + col - (ways - held_per_set[row])] = (
+                resident[held]
+            )
+            stream = merged
+            merged_src = np.full(total, -1, np.int64)
+            merged_src[at] = src
+            src = merged_src
+            seg_start = np.zeros(total, bool)
+            seg_start[starts] = True
+            del at, row, col, merged, merged_src
+        # 2. Equal neighbours are always in one set: a line has one set.
         hits = np.zeros(n, bool)
-        # A repeat of the set's previous line is a guaranteed hit on the
-        # MRU way and leaves the LRU order unchanged -- drop it up front.
-        rerun = np.zeros(n, bool)
-        rerun[1:] = (~seg_start[1:]) & (skeys[1:] == skeys[:-1])
-        hits[pos[rerun]] = True
-        keep = ~rerun
-        k_keys = skeys[keep]
-        k_pos = pos[keep]
-        m = len(k_keys)
-        if m == 0:
-            return hits
-        k_start = seg_start[keep]
-        starts = np.nonzero(k_start)[0]
-        seg_sets = sval[keep][k_start]
-        seg_len = np.diff(np.append(starts, m))
-        out_hit = np.empty(m, bool)
-        # Long segments leave the column machine, which would spin one
-        # near-empty column per transaction for them.  Low-diversity ones
-        # (index upper levels: few cachelines whose power-of-two strides
-        # alias into a handful of sets) take the hot path; the rest are
-        # batched into one multi-segment stack-distance kernel.
-        columnar = np.ones(len(seg_len), bool)
-        long_segs = np.nonzero(seg_len >= _HOT_SEGMENT)[0]
-        if len(long_segs):
-            distinct = _segment_distinct(k_keys, starts, seg_len, long_segs)
-            for seg in long_segs[distinct <= self.ways].tolist():
-                lo = starts[seg]
-                sub = k_keys[lo : lo + seg_len[seg]]
-                self._replay_hot_segment(int(seg_sets[seg]), sub, out_hit, lo)
-                columnar[seg] = False
-            windowed = long_segs[
-                (distinct > self.ways)
-                & (seg_len[long_segs] >= _WINDOW_SEGMENT)
-            ]
-            if len(windowed):
-                self._replay_windows(
-                    k_keys,
-                    starts[windowed],
-                    seg_len[windowed],
-                    seg_sets[windowed],
-                    out_hit,
-                )
-                columnar[windowed] = False
-        # Longest set first: the sets still active at column c are then a
-        # prefix, so each column step slices instead of gathers.
-        by_len = np.argsort(-np.where(columnar, seg_len, 0), kind="stable")
-        by_len = by_len[: int(np.count_nonzero(columnar))]
-        row_sets = seg_sets[by_len]
-        row_len = seg_len[by_len]
-        row_start = starts[by_len]
-        max_cols = int(row_len[0]) if len(row_len) else 0
-        tags = self._tags[row_sets]
-        ts = self._ts[row_sets]
-        rows = np.arange(len(row_sets))
-        neg_len = -row_len
-        for c in range(max_cols):
-            active = int(np.searchsorted(neg_len, -(c + 1), side="right"))
-            idx = row_start[:active] + c
-            v = k_keys[idx]
-            eq = tags[:active] == v[:, None]
-            # One fused way pick: a matching way outranks every timestamp
-            # (hits refresh their way), otherwise the stalest way loses.
-            way = np.where(eq, _MATCH_RANK, ts[:active]).argmin(axis=1)
-            r = rows[:active]
-            hit = eq[r, way]
-            tags[r, way] = v
-            ts[r, way] = self._clock + c
-            out_hit[idx] = hit
-        if len(row_sets):
-            self._tags[row_sets] = tags
-            self._ts[row_sets] = ts
-        self._clock += max(max_cols, self.ways)
-        hits[k_pos] = out_hit
-        return hits
-
-    def _replay_hot_segment(
-        self, set_index: int, sub: np.ndarray, out_hit: np.ndarray, lo: int
-    ) -> bool:
-        """Exactly replay one set's long sub-stream, if it is low-diversity.
-
-        Returns False (segment not handled) when the sub-stream touches
-        more than ``ways`` distinct lines.  Otherwise every access past a
-        line's first occurrence is a guaranteed hit (at most ``ways``
-        distinct lines means nothing touched this batch is ever evicted),
-        so only the first occurrences -- at most ``ways`` of them -- go
-        through a sequential LRU replay against the set's prior state.
-        """
-        t = len(sub)
-        packed = np.sort((sub << _POS_BITS) | np.arange(t, dtype=np.int64))
-        pk = packed >> _POS_BITS
-        group_start = np.ones(t, bool)
-        group_start[1:] = pk[1:] != pk[:-1]
-        if int(np.count_nonzero(group_start)) > self.ways:
-            return False
-        ppos = packed & (_POS_CAP - 1)
-        first_pos = np.sort(ppos[group_start])
-        group_last = np.ones(t, bool)
-        group_last[:-1] = pk[1:] != pk[:-1]
-        last_pos = np.sort(ppos[group_last])
-        seg_hits = np.ones(t, bool)
-        # Sequential replay of the <= ways first occurrences.
-        tags = self._tags[set_index]
-        ts = self._ts[set_index]
-        valid = tags >= 0
-        state = OrderedDict(
-            (int(line), None)
-            for line in tags[valid][np.argsort(ts[valid], kind="stable")]
-        )
-        for p in first_pos.tolist():
-            line = int(sub[p])
-            if line in state:
-                state.move_to_end(line)
-            else:
-                seg_hits[p] = False
-                if len(state) >= self.ways:
-                    state.popitem(last=False)
-                state[line] = None
-        # Refresh recency to the batch's last-touch order.
-        for p in last_pos.tolist():
-            state.move_to_end(int(sub[p]))
-        out_hit[lo : lo + t] = seg_hits
-        self._store_set_state(set_index, state)
-        return True
-
-    def _replay_windows(
-        self,
-        k_keys: np.ndarray,
-        w_starts: np.ndarray,
-        w_lens: np.ndarray,
-        w_sets: np.ndarray,
-        out_hit: np.ndarray,
-    ) -> None:
-        """Exactly replay many sets' long, high-diversity sub-streams.
-
-        Stack-distance formulation: within one LRU set of ``ways`` lines
-        an access hits iff fewer than ``ways`` distinct lines were touched
-        since its previous occurrence.  That count is
-        ``d(i) = #{j in (prev(i), i) : prev(j) <= prev(i)}`` -- a window
-        position counts iff it is the window's first touch of its line.
-
-        All segments are concatenated (each prefixed by its set's prior
-        residents as pseudo-accesses, so carried state needs no special
-        casing) and resolved by shared lag passes: a line maps to exactly
-        one set, so previous-occurrence windows never cross a segment
-        boundary, and one pass serves every segment at once.  Lag passes
-        are tiered: most accesses resolve within ``2*ways`` lags; only
-        the segments still holding unresolved accesses pay the deep tier,
-        and the few accesses even that leaves fall back to a bounded
-        backward walk.
-        """
-        ways = self.ways
-        num = len(w_sets)
-        row_tags = self._tags[w_sets]
-        row_ts = self._ts[w_sets]
-        by_age = np.argsort(row_ts, axis=1)  # invalid (-1) first, then LRU->MRU
-        aged_tags = np.take_along_axis(row_tags, by_age, axis=1)
-        p = (row_tags >= 0).sum(axis=1)
-        out_len = p + w_lens
-        seg_off = np.zeros(num + 1, np.int64)
-        np.cumsum(out_len, out=seg_off[1:])
-        total = int(seg_off[-1])
-        seg_id = np.repeat(np.arange(num), out_len)
-        local = np.arange(total) - seg_off[seg_id]
-        is_pref = local < p[seg_id]
-        s = np.empty(total, np.int64)
-        pref_seg = seg_id[is_pref]
-        s[is_pref] = aged_tags[pref_seg, ways - p[pref_seg] + local[is_pref]]
-        sub_seg = seg_id[~is_pref]
-        sub_local = local[~is_pref] - p[sub_seg]
-        s[~is_pref] = k_keys[w_starts[sub_seg] + sub_local]
-        hit, todo, pv, pk, ppos = self._window_pass(s)
-        for i in np.nonzero(todo)[0].tolist():
-            seen = set()
-            bottom = pv[i]
-            j = i - 1
-            while j > bottom and len(seen) < ways:
-                seen.add(int(s[j]))
-                j -= 1
-            hit[i] = len(seen) < ways
-        out_hit[w_starts[sub_seg] + sub_local] = hit[~is_pref]
-        # New state per set: the ways most recently used distinct lines.
-        group_last = np.ones(total, bool)
-        group_last[:-1] = pk[1:] != pk[:-1]
-        last_pos = np.sort(ppos[group_last])  # ascending = segment-grouped
-        lp_seg = seg_id[last_pos]
-        counts = np.bincount(lp_seg, minlength=num)
-        ends = np.cumsum(counts)
-        rank = np.arange(len(last_pos)) - (ends - counts)[lp_seg]
-        from_end = counts[lp_seg] - 1 - rank
-        keep = from_end < ways
-        rows = w_sets[lp_seg[keep]]
-        self._tags[w_sets] = -1
-        self._ts[w_sets] = -1
-        self._tags[rows, from_end[keep]] = s[last_pos[keep]]
-        self._ts[rows, from_end[keep]] = self._clock + rank[keep]
-        self._clock += total
-
-    def _window_pass(self, s: np.ndarray):
-        """Lag-pass stack-distance resolution over a concatenated stream.
-
-        Dense tier: lags up to ``2 * ways`` accumulate d for every
-        position with full-array passes.  Sparse tier: the positions
-        still unresolved -- typically few, since ``2 * ways`` lags drive
-        most big-window accesses past the miss threshold -- continue up
-        to ``16 * ways`` lags with gathers over just those positions,
-        retiring each as soon as its window is covered (exact) or its
-        count reaches ``ways`` (certain miss).
-
-        Returns ``(hit, todo, pv, pk, ppos)``: the per-position hit mask,
-        the positions neither tier resolved, previous-occurrence
-        positions, and the packed sort's key/position arrays (reused by
-        the caller for last-touch extraction).
-        """
-        length = len(s)
-        pos_bits = 22  # one more than _POS_BITS: prefixes extend a batch
-        packed = np.sort((s << pos_bits) | np.arange(length, dtype=np.int64))
-        pk = packed >> pos_bits
-        ppos = packed & ((1 << pos_bits) - 1)
-        same = np.zeros(length, bool)
-        same[1:] = pk[1:] == pk[:-1]
-        pv = np.full(length, -1, np.int64)
-        pv[ppos[1:][same[1:]]] = ppos[:-1][same[1:]]
-        window = np.arange(length, dtype=np.int64) - pv - 1
-        window[pv < 0] = np.iinfo(np.int64).max
-        hit = np.zeros(length, bool)
-        ways = self.ways
-        # Short window: fewer accesses than ways, nothing evicted -> hit.
-        hit[(pv >= 0) & (window < ways)] = True
-        todo = (pv >= 0) & (window >= ways)
-        d = np.zeros(length, np.int64)
+        repeat = np.zeros(len(stream), bool)
+        np.equal(stream[1:], stream[:-1], out=repeat[1:])
+        hits[src[repeat]] = True
+        keep = ~repeat
+        stream = stream[keep]
+        src = src[keep]
+        starts = np.nonzero(seg_start[keep])[0]
+        del repeat, keep, seg_start
+        # 3. Previous / next occurrence (``m`` = none after).
+        m = len(stream)
+        line_of, at = _packed_sort(stream)
+        same = line_of[1:] == line_of[:-1]
+        del line_of
+        at = at.astype(np.int32)
+        earlier = at[:-1][same]
+        later = at[1:][same]
+        del at, same
+        prev = np.full(m, -1, np.int32)
+        prev[later] = earlier
+        nxt = np.full(m, m, np.int32)
+        nxt[earlier] = later
+        del earlier, later
+        # 4. Bounds.  ``firsts[i]`` counts first touches up to ``i``; its
+        # value at a set's end is that set's distinct-line count.
+        first = prev < 0
+        firsts = np.cumsum(first, dtype=np.int32)
+        seg_len = np.diff(starts, append=m)
+        distinct = np.diff(firsts[starts + seg_len - 1], prepend=0)
+        stream_hit = ~first
+        window = np.arange(m, dtype=np.int32) - prev - 1
+        open_ = np.nonzero(
+            stream_hit & (window >= ways) & np.repeat(distinct > ways, seg_len)
+        )[0]
+        new_lines = firsts[open_] - firsts[prev[open_]]
+        stream_hit[open_[new_lines >= ways]] = False
+        q = open_[new_lines < ways].astype(np.int32)
+        wq = window[q]
+        del first, firsts, window, open_, new_lines
+        # 5. Lag passes.
+        alive = np.zeros(len(q), np.int32)
         lag = 0
-        stop = min(2 * ways, length - 1)
-        while lag < stop:
+        while len(q):
             lag += 1
-            # Position i-lag contributes to d(i) iff it lies inside the
-            # window and is the window's first touch of its line.
-            d[lag:] += (window[lag:] >= lag) & (pv[: length - lag] <= pv[lag:])
-        exact = todo & (window <= lag)
-        hit[exact] = d[exact] < ways
-        todo &= (window > lag) & (d < ways)
-        q = np.nonzero(todo)[0]
-        deep_stop = min(16 * ways, length - 1)
-        dq, wq, pq = d[q], window[q], pv[q]
-        while lag < deep_stop and len(q):
-            lag += 1
-            covered = wq >= lag
-            back = np.maximum(q - lag, 0)
-            dq += covered & (pv[back] <= pq)
-            done = (wq <= lag) | (dq >= ways)
-            if done.any():
-                hit[q[done]] = dq[done] < ways
-                live = ~done
-                q, dq, wq, pq = q[live], dq[live], wq[live], pq[live]
-        todo = np.zeros(length, bool)
-        todo[q] = True
-        return hit, todo, pv, pk, ppos
-
-    def _store_set_state(self, set_index: int, state: "OrderedDict") -> None:
-        """Write one set's LRU-ordered content back into the register file."""
-        tags = self._tags[set_index]
-        ts = self._ts[set_index]
-        tags.fill(-1)
-        ts.fill(-1)
-        resident = np.fromiter(state, dtype=np.int64)
-        tags[: len(resident)] = resident
-        ts[: len(resident)] = self._clock + np.arange(len(resident))
-        return None
+            alive += nxt[q - lag] > q
+            if lag < ways:
+                continue  # every open window spans at least ``ways``
+            miss = alive >= ways
+            done = miss | (alive + wq - lag < ways)
+            stream_hit[q[done]] = ~miss[done]
+            live = ~done
+            q, wq, alive = q[live], wq[live], alive[live]
+        from_batch = src >= 0
+        hits[src[from_batch]] = stream_hit[from_batch]
+        # 6. Each line's last touch, in stream order; a set holds
+        # ``distinct`` of them.
+        last = np.nonzero(nxt == m)[0]
+        set_rank = np.repeat(np.arange(len(touched)), distinct)
+        from_end = np.repeat(np.cumsum(distinct), distinct) - 1 - np.arange(
+            len(last)
+        )
+        kept = from_end < ways
+        self._tags[touched] = -1
+        self._tags[touched[set_rank[kept]], ways - 1 - from_end[kept]] = (
+            stream[last[kept]]
+        )
+        return hits
 
     # -- scalar compatibility ------------------------------------------
 
@@ -674,10 +485,8 @@ class VectorSetAssociativeCache:
 
     def resident_lines(self, set_index: int) -> np.ndarray:
         """One set's resident lines in LRU-to-MRU order."""
-        tags = self._tags[set_index]
-        ts = self._ts[set_index]
-        valid = tags >= 0
-        return tags[valid][np.argsort(ts[valid], kind="stable")]
+        row = self._tags[set_index]
+        return row[row >= 0].copy()
 
     @property
     def occupancy(self) -> int:

@@ -90,6 +90,28 @@ def test_vector_lru_scalar_api_and_contains():
     assert vector.hit_rate == reference.hit_rate
 
 
+def assert_same_sets(vector, reference):
+    """Counters, occupancy and every set's LRU-to-MRU order agree."""
+    assert vector.hits == reference.hits
+    assert vector.misses == reference.misses
+    assert vector.occupancy == reference.occupancy
+    for set_index in range(reference.num_sets):
+        np.testing.assert_array_equal(
+            vector.resident_lines(set_index),
+            np.fromiter(reference._sets[set_index], dtype=np.int64),
+        )
+
+
+def assert_same_tlb(vector, reference):
+    """Counters and the cached translations in LRU-to-MRU order agree."""
+    assert vector.hits == reference.hits
+    assert vector.misses == reference.misses
+    assert vector.cold_misses == reference.cold_misses
+    np.testing.assert_array_equal(
+        vector.resident_pages(), np.fromiter(reference._cached, dtype=np.int64)
+    )
+
+
 def set_assoc_cases():
     rng = np.random.default_rng(0x5E7)
     cases = []
@@ -106,12 +128,19 @@ def set_assoc_cases():
     mixed = np.concatenate([hot, cold])
     rng.shuffle(mixed)
     cases.append((96, 16, mixed))
-    # Long single-set segments: exercise the lag-window replay, including
-    # its backward-walk remnant (a low-diversity stretch inside long
-    # reuse windows defeats both the exact and certain-miss lag tiers).
+    # Lag tail: a long low-diversity stretch (three lines) inside long
+    # reuse windows keeps the alive count below ``ways`` for hundreds of
+    # lags, so those accesses resolve only when their window is covered.
     calm = np.repeat(rng.integers(0, 3, 700), 3)
     wild = rng.integers(0, 4000, 2000)
-    cases.append((1, 4, np.concatenate([wild[:1000], calm, wild[1000:]])))
+    cases.append(
+        pytest.param(
+            1,
+            4,
+            np.concatenate([wild[:1000], calm, wild[1000:]]),
+            id="lag-tail-regression",
+        )
+    )
     cases.append((4, 8, rng.integers(0, 5000, 12000)))
     return cases
 
@@ -128,25 +157,21 @@ def test_vector_set_associative_matches_reference(sets, ways, stream):
     expected = reference_lru_hits(reference, stream)
     actual = vector.access_batch(np.asarray(stream, dtype=np.int64))
     np.testing.assert_array_equal(actual, expected)
-    assert vector.hits == reference.hits
-    assert vector.misses == reference.misses
-    assert vector.occupancy == reference.occupancy
-    for set_index in range(reference.num_sets):
-        np.testing.assert_array_equal(
-            vector.resident_lines(set_index),
-            np.fromiter(reference._sets[set_index], dtype=np.int64),
-        )
+    assert_same_sets(vector, reference)
 
 
 def test_vector_set_associative_across_batches():
+    # Uneven batches, 1-access ones included: every batch after the first
+    # starts from warm sets, whose residents enter the kernel as a prefix.
     rng = np.random.default_rng(21)
     stream = rng.integers(0, 3000, 20000).astype(np.int64)
     reference = SetAssociativeCache(96 * 16 * 32, 32, ways=16)
     vector = VectorSetAssociativeCache(96 * 16 * 32, 32, ways=16)
-    expected = reference_lru_hits(reference, stream)
-    pieces = [vector.access_batch(part) for part in np.array_split(stream, 5)]
-    np.testing.assert_array_equal(np.concatenate(pieces), expected)
-    assert vector.hits == reference.hits
+    cuts = np.cumsum([1, 9, 4000, 1, 2500, 1, 7000])
+    for part in np.split(stream, cuts):
+        expected = reference_lru_hits(reference, part)
+        np.testing.assert_array_equal(vector.access_batch(part), expected)
+        assert_same_sets(vector, reference)
 
 
 def test_vector_set_associative_scalar_api():
@@ -180,13 +205,8 @@ def test_vector_tlb_matches_reference(entries, pages):
     expected = np.array([reference.access(int(p)) for p in pages], dtype=bool)
     actual = vector.access_batch(np.asarray(pages, dtype=np.int64))
     np.testing.assert_array_equal(actual, expected)
-    assert vector.hits == reference.hits
-    assert vector.misses == reference.misses
-    assert vector.cold_misses == reference.cold_misses
     assert vector.miss_rate == reference.miss_rate
-    np.testing.assert_array_equal(
-        vector.resident_pages(), np.fromiter(reference._cached, dtype=np.int64)
-    )
+    assert_same_tlb(vector, reference)
 
 
 def test_vector_tlb_cold_misses_across_batches():
@@ -194,12 +214,48 @@ def test_vector_tlb_cold_misses_across_batches():
     stream = rng.integers(0, 500, 6000).astype(np.int64)
     reference = LruTlb(128)
     vector = VectorLruTlb(128)
-    for page in stream:
-        reference.access(int(page))
     for part in np.array_split(stream, 4):
-        vector.access_batch(part)
-    assert vector.cold_misses == reference.cold_misses
-    assert vector.misses == reference.misses
+        expected = np.array([reference.access(int(p)) for p in part], dtype=bool)
+        np.testing.assert_array_equal(vector.access_batch(part), expected)
+        assert_same_tlb(vector, reference)
+
+
+@pytest.mark.parametrize("overflow", [0, 1], ids=["exact-fit", "one-over"])
+def test_vector_tlb_warm_stack_plus_batch_at_capacity(overflow):
+    # Warm stack plus batch hold exactly ``entries`` distinct pages (the
+    # no-eviction path) or one more (one eviction, so the LRU replay).
+    entries = 32
+    rng = np.random.default_rng(0xF17)
+    warm = rng.permutation(np.repeat(np.arange(20), 3))
+    batch = rng.permutation(
+        np.concatenate(
+            [np.arange(8, entries + overflow), rng.integers(0, 20, 40)]
+        )
+    )
+    reference = LruTlb(entries)
+    vector = VectorLruTlb(entries)
+    for part in (warm, batch):
+        expected = np.array([reference.access(int(p)) for p in part], dtype=bool)
+        np.testing.assert_array_equal(vector.access_batch(part), expected)
+        assert_same_tlb(vector, reference)
+    assert (vector.misses == vector.cold_misses) == (overflow == 0)
+
+
+@pytest.mark.parametrize("capacity", [2**21 - 1, 2**21 + 5])
+def test_regression_vector_lru_capacity_beyond_position_field(capacity):
+    """A fixed 21-bit position field once capped the batch at
+    ``2^21 - capacity - 1`` keys: capacity ``2^21 - 1`` raised
+    ``ValueError`` and larger ones returned an uninitialized hit mask
+    (5 hits / 0 misses here).  The field is now sized from the batch."""
+    stream = np.array([5, 7, 5, 5, 9], np.int64)
+    expected = np.array([False, False, True, True, False])
+    cache = VectorLruCache(capacity, 1)
+    np.testing.assert_array_equal(cache.access_batch(stream), expected)
+    assert (cache.hits, cache.misses) == (2, 3)
+    np.testing.assert_array_equal(cache.resident_lines(), [7, 5, 9])
+    tlb = VectorLruTlb(capacity)
+    np.testing.assert_array_equal(tlb.access_batch(stream), expected)
+    assert (tlb.hits, tlb.misses, tlb.cold_misses) == (2, 3, 3)
 
 
 def test_vector_models_reject_bad_shapes():
