@@ -20,7 +20,13 @@ from ..config import DEFAULT_S_TUPLES
 from ..errors import WorkloadError
 from .column import Column, KEY_DTYPE, make_column
 from .relation import Relation
-from .zipf import zipf_sample
+from .zipf import scatter_ranks, zipf_sample
+
+# A skewed window draws at most this many Zipf ranks (memory cap).
+_WINDOW_DRAW_CAP = 2**24
+# ... in chunks of this many, so the temporaries stay in cache and a
+# sample that fills early stops drawing.
+_SAMPLE_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -107,17 +113,27 @@ def make_probe_keys(
     n = len(build_column)
     if config.zipf_theta > 0:
         ranks = zipf_sample(rng, n, config.zipf_theta, count)
-        # Scatter hot ranks across the key domain so skew does not
-        # accidentally equal spatial locality: rank -> position via a
-        # fixed multiplicative permutation (odd multiplier => bijection
-        # modulo any n when applied to ranks then reduced).
-        positions = (ranks * np.int64(2654435761) + np.int64(config.seed)) % n
+        positions = scatter_ranks(ranks, n, config.seed)
     else:
         positions = rng.integers(0, n, size=count, dtype=np.int64)
+    return _probe_set(build_column, positions, config, rng)
+
+
+def _probe_set(
+    build_column: Column,
+    positions: np.ndarray,
+    config: WorkloadConfig,
+    rng: np.random.Generator,
+) -> "ProbeSet":
+    """Probe keys at ``positions``, a ``1 - match_rate`` share made misses.
+
+    The miss mask is drawn from ``rng`` over every position, after the
+    positions themselves.
+    """
     keys = build_column.key_at(positions).astype(KEY_DTYPE)
     expected = positions.copy()
     if config.match_rate < 1.0:
-        misses = rng.random(count) >= config.match_rate
+        misses = rng.random(len(positions)) >= config.match_rate
         keys = keys.copy()
         keys[misses] += KEY_DTYPE(1)
         expected[misses] = -1
@@ -168,13 +184,16 @@ def make_ordered_probe_sample(
     (the state after radix partitioning, whose partitions cover contiguous
     key ranges).
 
-    Zipf-skewed workloads draw a full window of ranks and keep the tuples
-    landing in the sample's key-range segment -- the conditional
-    distribution of a contiguous chunk of a partition-ordered window.
-    That preserves both the window's key density *and* its per-key
-    duplicate counts (a window of 4M Zipf-1.0 tuples repeats its hot keys
-    many times; those repeats are exactly the cache locality the skew
-    experiment measures).
+    Zipf-skewed workloads draw a full window of ranks (at most
+    ``_WINDOW_DRAW_CAP``) and keep the tuples landing in the sample's
+    key-range segment -- the conditional distribution of a contiguous
+    chunk of a partition-ordered window.  That preserves both the window's
+    key density *and* its per-key duplicate counts (a window of 4M
+    Zipf-1.0 tuples repeats its hot keys many times; those repeats are
+    exactly the cache locality the skew experiment measures).  The draw is
+    streamed in chunks and stops once ``4 * count`` tuples are kept; the
+    generator then skips the undrawn ranks, so keys, positions and any
+    later draw are the same as after one full draw.
     """
     if window_tuples <= 0:
         raise WorkloadError(
@@ -185,36 +204,54 @@ def make_ordered_probe_sample(
     count = min(count, window_tuples)
     rng = np.random.default_rng(config.seed + 0x0D0E)
     n = len(build_column)
-    segment = max(1, min(n, round(n * count / window_tuples)))
     if config.zipf_theta > 0:
-        from .zipf import zipf_sample
-
-        # Draw the whole window (capped for memory), map ranks to their
-        # scattered positions, and keep the segment's share.
-        draw = min(window_tuples, 2**24)
-        effective_segment = max(1, min(n, round(n * count / draw)))
-        ranks = zipf_sample(rng, n, config.zipf_theta, draw)
-        all_positions = (
-            ranks * np.int64(2654435761) + np.int64(config.seed)
-        ) % n
-        positions = all_positions[all_positions < effective_segment]
-        if len(positions) == 0:
-            # Extremely skewed draws can miss the segment; fall back to
-            # the hot set itself, which is what such a window contains.
-            positions = all_positions[:count]
-        elif len(positions) > 4 * count:
-            positions = positions[: 4 * count]
+        draw = min(window_tuples, _WINDOW_DRAW_CAP)
+        positions = _skewed_window_positions(rng, n, config, draw, count)
     else:
+        segment = max(1, min(n, round(n * count / window_tuples)))
         positions = rng.integers(0, segment, size=count, dtype=np.int64)
     positions.sort()
-    keys = build_column.key_at(positions).astype(KEY_DTYPE)
-    expected = positions.copy()
-    if config.match_rate < 1.0:
-        misses = rng.random(count) >= config.match_rate
-        keys = keys.copy()
-        keys[misses] += KEY_DTYPE(1)
-        expected[misses] = -1
-    return ProbeSet(keys=keys, expected_positions=expected)
+    return _probe_set(build_column, positions, config, rng)
+
+
+def _skewed_window_positions(
+    rng: np.random.Generator,
+    n: int,
+    config: WorkloadConfig,
+    draw: int,
+    count: int,
+) -> np.ndarray:
+    """Scattered positions of a ``draw``-rank Zipf window in its segment.
+
+    Keeps the positions below ``n * count / draw`` in draw order, at most
+    ``4 * count`` of them.  Chunks of ``_SAMPLE_CHUNK`` ranks are drawn
+    until that many are kept; ``zipf_sample`` is elementwise and
+    ``rng.random(a)`` then ``rng.random(b)`` equals ``rng.random(a + b)``,
+    so with the closing ``advance`` past the undrawn ranks the result and
+    the generator state equal those of one full draw.
+    """
+    segment = max(1, min(n, round(n * count / draw)))
+    limit = 4 * count
+    kept, num_kept = [], 0
+    head, num_head = [], 0
+    drawn = 0
+    while drawn < draw and num_kept < limit:
+        size = min(_SAMPLE_CHUNK, draw - drawn)
+        ranks = zipf_sample(rng, n, config.zipf_theta, size)
+        positions = scatter_ranks(ranks, n, config.seed)
+        drawn += size
+        if num_head < count:
+            head.append(positions[: count - num_head])
+            num_head += len(head[-1])
+        inside = positions[positions < segment]
+        kept.append(inside)
+        num_kept += len(inside)
+    rng.bit_generator.advance(draw - drawn)
+    if num_kept == 0:
+        # Extremely skewed draws can miss the segment; fall back to the
+        # hot set itself, which is what such a window contains.
+        return np.concatenate(head)
+    return np.concatenate(kept)[:limit]
 
 
 def make_workload(config: WorkloadConfig, probe_count: int = None):

@@ -9,7 +9,7 @@ generators (e.g. the YCSB ScrambledZipfian ancestor).  For exponent 0 the
 distribution degenerates to uniform.
 
 Sampled values are *ranks* in ``[0, n)``; callers map ranks to key-column
-positions.  Rank 0 is the hottest item.
+positions with :func:`scatter_ranks`.  Rank 0 is the hottest item.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import WorkloadError
+
+# Knuth's multiplicative-hash constant (an odd prime near 2^32 / phi).
+_SCATTER_MULTIPLIER = np.int64(2654435761)
 
 
 def _harmonic_approx(n: float, theta: float) -> float:
@@ -89,6 +92,20 @@ def zipf_sample(
     # the inversion past int64, and float->int64 overflow is undefined.
     ranks = np.clip(np.floor(ranks), 0.0, float(n - 1))
     return ranks.astype(np.int64)
+
+
+def scatter_ranks(ranks: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Map Zipf ranks to key-column positions in ``[0, n)``.
+
+    Hot ranks are spread across the key domain so that skew does not
+    accidentally equal spatial locality: ``(rank * 2654435761 + seed) % n``
+    in int64 arithmetic.  This is a deterministic scatter, not a promised
+    permutation: it is one-to-one on ``[0, n)`` only while ``n`` is coprime
+    to the multiplier and ``rank * 2654435761`` stays below 2^63 (n below
+    about 3.5e9 keys, 26 GiB of 8-byte keys); past that the product wraps
+    and distinct ranks can share a position.
+    """
+    return (ranks * _SCATTER_MULTIPLIER + np.int64(seed)) % n
 
 
 def zipf_sum_p2(n: int, theta: float) -> float:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.data import generator
+from repro.data.column import KEY_DTYPE, MaterializedColumn, VirtualSortedColumn
 from repro.data.generator import (
     ProbeSet,
     WorkloadConfig,
@@ -11,6 +13,7 @@ from repro.data.generator import (
     make_probe_keys,
     make_workload,
 )
+from repro.data.zipf import zipf_sample
 from repro.errors import WorkloadError
 
 
@@ -171,6 +174,35 @@ class TestOrderedSample:
             relation.column.rank_of(sample.keys), sample.expected_positions
         )
 
+    @pytest.mark.parametrize(
+        "theta, window, count",
+        [(1.25, 2**16, 2**8), (0.25, 3 * 2**16 + 17, 2**12)],
+        ids=["more-than-count", "fewer-than-count"],
+    )
+    def test_regression_skewed_sample_with_match_rate_below_one(
+        self, theta, window, count
+    ):
+        """A skewed sample with match_rate < 1 raised IndexError.
+
+        The miss mask had ``count`` entries while a skewed sample holds
+        between 1 and ``4 * count`` positions.
+        """
+        config = WorkloadConfig(
+            r_tuples=2**16, zipf_theta=theta, match_rate=0.5, seed=11
+        )
+        relation = make_build_relation(config)
+        sample = make_ordered_probe_sample(
+            relation.column, config, window_tuples=window, count=count
+        )
+        assert len(sample) != count
+        misses = sample.expected_positions < 0
+        assert np.mean(misses) == pytest.approx(0.5, abs=0.05)
+        assert np.all(relation.column.rank_of(sample.keys[misses]) == -1)
+        assert np.array_equal(
+            relation.column.rank_of(sample.keys[~misses]),
+            sample.expected_positions[~misses],
+        )
+
     def test_rejects_bad_inputs(self):
         config = WorkloadConfig(r_tuples=2**12)
         relation = make_build_relation(config)
@@ -182,3 +214,117 @@ class TestOrderedSample:
             make_ordered_probe_sample(
                 relation.column, config, window_tuples=10, count=0
             )
+
+
+def _one_shot_sample(build_column, config, window_tuples, count):
+    """The skewed sampler as one full draw, frozen as the reference.
+
+    Returns the sample's keys and positions and the generator after them.
+    """
+    count = min(count, window_tuples)
+    rng = np.random.default_rng(config.seed + 0x0D0E)
+    n = len(build_column)
+    draw = min(window_tuples, 2**24)
+    effective_segment = max(1, min(n, round(n * count / draw)))
+    ranks = zipf_sample(rng, n, config.zipf_theta, draw)
+    all_positions = (ranks * np.int64(2654435761) + np.int64(config.seed)) % n
+    positions = all_positions[all_positions < effective_segment]
+    if len(positions) == 0:
+        positions = all_positions[:count]
+    elif len(positions) > 4 * count:
+        positions = positions[: 4 * count]
+    positions.sort()
+    keys = build_column.key_at(positions).astype(KEY_DTYPE)
+    return keys, positions.copy(), rng
+
+
+CHUNK = generator._SAMPLE_CHUNK
+
+
+@pytest.fixture(scope="module", params=["materialized", "virtual"])
+def skew_relation(request):
+    r_tuples = 2**16 if request.param == "materialized" else 2**30
+    relation = make_build_relation(WorkloadConfig(r_tuples=r_tuples, seed=11))
+    kind = (
+        MaterializedColumn if request.param == "materialized"
+        else VirtualSortedColumn
+    )
+    assert isinstance(relation.column, kind)
+    return relation
+
+
+class TestOrderedSampleStreaming:
+    """The chunked, early-exit sampler against one full draw."""
+
+    @staticmethod
+    def assert_matches_one_shot(column, config, window, count):
+        keys, positions, reference_rng = _one_shot_sample(
+            column, config, window, count
+        )
+        sample = make_ordered_probe_sample(column, config, window, count)
+        np.testing.assert_array_equal(sample.keys, keys)
+        np.testing.assert_array_equal(sample.expected_positions, positions)
+        rng = np.random.default_rng(config.seed + 0x0D0E)
+        generator._skewed_window_positions(
+            rng,
+            len(column),
+            config,
+            min(window, generator._WINDOW_DRAW_CAP),
+            min(count, window),
+        )
+        np.testing.assert_array_equal(rng.random(8), reference_rng.random(8))
+        return sample
+
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0, 1.25, 1.75, 3.0])
+    @pytest.mark.parametrize(
+        "window, count",
+        [(1000, 64), (CHUNK, 256), (3 * CHUNK + 17, 4096)],
+        ids=["below-chunk", "one-chunk", "non-multiple"],
+    )
+    def test_matches_one_shot(self, skew_relation, theta, window, count):
+        config = WorkloadConfig(
+            r_tuples=len(skew_relation.column), zipf_theta=theta, seed=11
+        )
+        sample = self.assert_matches_one_shot(
+            skew_relation.column, config, window, count
+        )
+        assert 1 <= len(sample) <= 4 * count
+
+    @pytest.mark.parametrize(
+        "theta, capped", [(0.5, False), (1.75, True)], ids=["open", "capped"]
+    )
+    def test_matches_one_shot_above_draw_cap(self, theta, capped):
+        config = WorkloadConfig(r_tuples=2**30, zipf_theta=theta, seed=11)
+        column = make_build_relation(config).column
+        window = generator._WINDOW_DRAW_CAP + CHUNK // 2 + 3
+        sample = self.assert_matches_one_shot(column, config, window, 2**12)
+        assert (len(sample) == 4 * 2**12) == capped
+
+    def test_empty_segment_fallback(self):
+        # Zipf(3) puts nearly every draw on a few hot ranks, none of which
+        # scatters into this small segment: the sample is the first
+        # ``count`` draws.
+        config = WorkloadConfig(r_tuples=2**16, zipf_theta=3.0, seed=3)
+        column = make_build_relation(config).column
+        window, count = 3 * CHUNK + 17, 8
+        sample = self.assert_matches_one_shot(column, config, window, count)
+        segment = round(len(column) * count / window)
+        assert len(sample) == count
+        assert np.all(sample.expected_positions >= segment)
+
+    def test_capped_sample_stops_drawing(self, monkeypatch):
+        drawn = []
+
+        def counting_sample(rng, n, theta, size):
+            drawn.append(size)
+            return zipf_sample(rng, n, theta, size)
+
+        monkeypatch.setattr(generator, "zipf_sample", counting_sample)
+        config = WorkloadConfig(r_tuples=2**30, zipf_theta=1.75, seed=11)
+        column = make_build_relation(config).column
+        sample = make_ordered_probe_sample(
+            column, config, window_tuples=2**22, count=2**12
+        )
+        assert len(sample) == 4 * 2**12
+        assert max(drawn) <= CHUNK
+        assert sum(drawn) < 2**22 // 8

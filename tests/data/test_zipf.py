@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.data.zipf import zipf_cdf, zipf_sample, zipf_sum_p2, zipf_top_mass
+from repro.data.zipf import (
+    scatter_ranks,
+    zipf_cdf,
+    zipf_sample,
+    zipf_sum_p2,
+    zipf_top_mass,
+)
 from repro.errors import WorkloadError
 
 
@@ -70,6 +76,13 @@ class TestSample:
             zipf_sample(rng, n=10, theta=1.0, size=-1)
 
 
+class TestScatterRanks:
+    def test_permutes_small_domains(self):
+        # Below the int64 wrap and coprime to the multiplier: one-to-one.
+        positions = scatter_ranks(np.arange(4097, dtype=np.int64), 4097, 5)
+        assert np.array_equal(np.sort(positions), np.arange(4097))
+
+
 class TestCollisionMass:
     def test_uniform(self):
         assert zipf_sum_p2(100, 0.0) == pytest.approx(0.01)
@@ -115,3 +128,23 @@ def test_cdf_endpoints(n, theta):
     cdf = zipf_cdf(np.array([0, n - 1]), n=n, theta=theta)
     assert 0.0 < cdf[0] <= 1.0
     assert cdf[1] == pytest.approx(1.0, abs=0.02)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=2**40),
+    theta=st.sampled_from([0.5, 1.0, 1.5]),
+    size=st.integers(min_value=1, max_value=5000),
+    data=st.data(),
+)
+def test_sample_is_chunk_invariant(seed, n, theta, size, data):
+    """Two draws split anywhere equal one unsplit draw (streaming relies on it).
+
+    theta == 1 takes the exp/log inversion, the others the power one.
+    """
+    split = data.draw(st.integers(min_value=0, max_value=size), label="split")
+    whole = zipf_sample(np.random.default_rng(seed), n, theta, size)
+    rng = np.random.default_rng(seed)
+    head = zipf_sample(rng, n, theta, split)
+    tail = zipf_sample(rng, n, theta, size - split)
+    np.testing.assert_array_equal(np.concatenate([head, tail]), whole)
