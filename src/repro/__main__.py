@@ -7,8 +7,8 @@ Commands:
 * ``bench [--json FILE] [--compare-reference]`` -- time the standard
   sweeps and record wall clocks plus key counters to a JSON report;
 * ``bench2 [--json FILE] [--workers N] [--min-serve-throughput N]`` --
-  benchmark the fused probe path: kernel micro-bench, the BENCH_1 sweep
-  set through the worker pool, and the serve-bench sweep (BENCH_2.json);
+  benchmark the BENCH_1 sweep set through the worker pool and the
+  serve-bench sweep (BENCH_2.json);
 * ``serve-bench [--shards N...] [--window-kib K...] [--zipf T...]
   [--index NAME] [--replicas K] [--replica-indexes NAME...]
   [--chaos-schedule FILE] [--update-fraction F...]
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
 
     bench2 = subparsers.add_parser(
         "bench2",
-        help="benchmark the fused probe path and write BENCH_2.json",
+        help="benchmark the pooled sweeps and serving; write BENCH_2.json",
     )
     bench2.add_argument(
         "--json", default=None, metavar="FILE",

@@ -10,7 +10,6 @@ the paper, so experiments and tests agree on one source of truth.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError
@@ -51,21 +50,6 @@ DEFAULT_IGNORED_LSB = 4
 #: Default huge-page size (paper: "The machine is set up to use 1 GiB huge
 #: pages").
 DEFAULT_HUGE_PAGE_BYTES = 1 * GIB
-
-#: Environment flag requesting the optional numba JIT backend for the
-#: fused batch probe kernels (see :mod:`repro.indexes.jit`).  The flag
-#: only *requests* compilation: when numba is not importable the kernels
-#: silently fall back to the vectorized numpy path, which is
-#: bit-identical by construction (tests/indexes/test_probe_batch.py).
-JIT_ENV = "REPRO_JIT"
-
-_FALSY = frozenset({"", "0", "false", "no", "off"})
-
-
-def jit_requested() -> bool:
-    """Whether ``REPRO_JIT`` asks for the compiled batch kernels."""
-    return os.environ.get(JIT_ENV, "").strip().lower() not in _FALSY
-
 
 @dataclass(frozen=True)
 class SimulationConfig:

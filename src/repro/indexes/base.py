@@ -1,16 +1,20 @@
 """Shared index interface and trace recording.
 
-Every index implements one traversal routine, ``_traverse``, used two ways:
+Every index implements one descent, ``_lower_bound(keys, recorder)``:
+the first column position whose key is >= each probe.  It serves three
+ways:
 
-* ``lookup(keys)`` runs it without a recorder -- a pure, vectorized
+* ``lookup(keys)`` / ``probe_batch`` run it without a recorder and keep
+  the positions whose key equals the probe -- a pure, vectorized
   functional lookup usable at any scale;
-* ``trace_lookups(keys)`` runs the same code with a
+* ``trace_lookups(keys)`` runs the same descent with a
   :class:`TraceRecorder`, capturing the byte address of every memory
-  access so the machine model can replay it.
+  access so the machine model can replay it;
+* ``probe_range_batch`` runs it twice, once per span bound.
 
-One code path for both guarantees the simulated access pattern is exactly
-the access pattern of the functional algorithm, which is the property the
-whole reproduction rests on.
+One descent for all three guarantees the simulated access pattern is
+exactly the access pattern of the functional algorithm, which is the
+property the whole reproduction rests on.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from ..gpu.simt import SimtCost, divergent_cost
 from ..hardware.counters import PerfCounters
 from ..hardware.memory import SystemMemory
 from ..units import KEY_BYTES
-from . import jit
 
 
 class TraceRecorder:
@@ -165,10 +168,31 @@ class Index(abc.ABC):
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
-    def _traverse(
+    def _lower_bound(
+        self, keys: np.ndarray, recorder: Optional[TraceRecorder] = None
+    ) -> np.ndarray:
+        """First column position with key >= probe; ``len(column)`` if none.
+
+        The index's one descent.  With a ``recorder`` it records every
+        access it makes, including any separate read of the candidate
+        match (the INLJ fetches it anyway; Harmonia's leaf-node read
+        already covers it).
+        """
+
+    def _find(
         self, keys: np.ndarray, recorder: Optional[TraceRecorder]
     ) -> np.ndarray:
-        """Locate ``keys``; optionally record accesses.  Returns positions."""
+        """Equality lookup: the lower bound, kept where its key matches."""
+        keys = np.asarray(keys, dtype=KEY_DTYPE)
+        return self._match(keys, self._lower_bound(keys, recorder))
+
+    def _match(self, keys: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        """``lower`` where the column holds the probe there, else -1."""
+        in_range = lower < len(self.column)
+        found = in_range & (
+            self.column.key_at(np.where(in_range, lower, 0)) == keys
+        )
+        return np.where(found, lower, np.int64(-1))
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Functional lookup: position of each key in the column, -1 if absent."""
@@ -178,30 +202,24 @@ class Index(abc.ABC):
         if obs.enabled():
             obs.add("index.lookups", float(len(keys)), index=self.name)
             obs.add("index.lookup_batches", index=self.name)
-        return self._traverse(keys, recorder=None)
+        return self._find(keys, recorder=None)
 
     # ------------------------------------------------------------------
-    # Fused batch kernel.
+    # Batch probes.
     # ------------------------------------------------------------------
 
     def probe_batch(
         self, keys: np.ndarray, out: np.ndarray, offset: int = 0
     ) -> PerfCounters:
-        """Fused batch probe into a caller-owned output buffer.
+        """Batch probe into a caller-owned output buffer.
 
         Writes the position of each key (-1 on miss) into
         ``out[offset : offset + len(keys)]`` -- no result allocation, no
-        concatenation -- and returns the batch's fused
-        :class:`PerfCounters` delta.  The counters are *structural*
-        (``lookups`` and a height-based access count), derived only from
-        the batch size and the index geometry, so the numpy and JIT
-        backends report exactly equal deltas by construction; replayed
-        cache/TLB counters remain the job of :meth:`trace_lookups`.
-
-        The kernel behind it is either the vectorized numpy traversal or,
-        under ``REPRO_JIT`` with numba importable, the compiled scalar
-        kernel from :mod:`repro.indexes.kernels` -- bit-identical either
-        way (see tests/indexes/test_probe_batch.py).
+        concatenation -- and returns the batch's :class:`PerfCounters`
+        delta.  The counters are *structural* (``lookups`` and a
+        height-based access count), derived only from the batch size and
+        the index geometry; replayed cache/TLB counters remain the job
+        of :meth:`trace_lookups`.
         """
         keys = np.asarray(keys, dtype=KEY_DTYPE)
         count = len(keys)
@@ -221,60 +239,20 @@ class Index(abc.ABC):
         if obs.enabled():
             with obs.span("index.probe_batch", index=self.name,
                           lookups=count):
-                self._probe_kernel(keys, view)
+                view[:] = self._find(keys, recorder=None)
             obs.add("index.batch_lookups", float(count), index=self.name)
             obs.add("index.batch_kernels", index=self.name)
         else:
-            self._probe_kernel(keys, view)
+            view[:] = self._find(keys, recorder=None)
         return self._batch_counters(count)
 
-    def _probe_kernel(self, keys: np.ndarray, out: np.ndarray) -> None:
-        """One fused pass over ``keys``; results land in ``out``.
-
-        Dispatches to the compiled scalar kernel when the JIT backend is
-        enabled and this index advertises one, otherwise runs the
-        vectorized traversal.  ``keys`` is already ``KEY_DTYPE`` and
-        ``out`` is exactly ``len(keys)`` wide.
-        """
-        if jit.enabled():
-            runner = jit.runner_for(self)
-            if runner is not None:
-                runner(keys, out)
-                return
-        out[:] = self._traverse(keys, recorder=None)
-
-    def _batch_kernel_args(self):
-        """(kernel name, packed structure args) or None when not JIT-able.
-
-        The base implementation opts out; each concrete index overrides
-        it when its structure can be expressed as the plain arrays the
-        scalar kernels in :mod:`repro.indexes.kernels` consume.
-        """
-        return None
-
     def _batch_counters(self, count: int) -> PerfCounters:
-        """Structural fused-counter delta for a batch of ``count`` keys."""
+        """Structural counter delta for a batch of ``count`` keys."""
         return PerfCounters(
             lookups=float(count),
             memory_accesses=float(count * self.height),
             # int64 positions are key-sized (8 B each).
             result_bytes=float(count * KEY_BYTES),
-        )
-
-    # ------------------------------------------------------------------
-    # Fused range-probe kernel (non-equi joins).
-    # ------------------------------------------------------------------
-
-    def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
-        """First column position with key >= probe; ``len(column)`` if none.
-
-        The non-equi range primitive under :meth:`probe_range_batch`.
-        Each index derives it from the same structure its ``_traverse``
-        walks (tree descent, spline prediction, ...), so range probes
-        have the locality profile of two equality probes.
-        """
-        raise NotImplementedError(
-            f"{self.name} does not implement the range primitive"
         )
 
     def _range_bounds(
@@ -305,17 +283,14 @@ class Index(abc.ABC):
         out_end: np.ndarray,
         offset: int = 0,
     ) -> PerfCounters:
-        """Fused batch range probe into caller-owned span buffers.
+        """Batch range probe (the non-equi primitive) into span buffers.
 
         Writes, for each key pair, the half-open span ``[start, end)``
         of column positions whose keys fall in ``[lo[i], hi[i]]`` into
         ``out_start[offset : offset + count]`` /
         ``out_end[offset : offset + count]``, and returns the batch's
-        structural :class:`PerfCounters` delta (two bound traversals per
-        pair, so twice :meth:`probe_batch`'s access count).  Like
-        ``probe_batch``, the kernel is either the vectorized numpy
-        bounds or, under ``REPRO_JIT``, a compiled scalar twin from
-        :mod:`repro.indexes.kernels` -- bit-identical either way.
+        structural :class:`PerfCounters` delta (two lower-bound descents
+        per pair, so twice :meth:`probe_batch`'s access count).
         """
         lo = np.asarray(lo, dtype=KEY_DTYPE)
         hi = np.asarray(hi, dtype=KEY_DTYPE)
@@ -342,43 +317,18 @@ class Index(abc.ABC):
         if obs.enabled():
             with obs.span("index.probe_range_batch", index=self.name,
                           lookups=count):
-                self._range_kernel(lo, hi, start_view, end_view)
+                start_view[:], end_view[:] = self._range_bounds(lo, hi)
             obs.add("index.range_lookups", float(count), index=self.name)
             obs.add("index.range_kernels", index=self.name)
         else:
-            self._range_kernel(lo, hi, start_view, end_view)
+            start_view[:], end_view[:] = self._range_bounds(lo, hi)
         return self._range_batch_counters(count)
 
-    def _range_kernel(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        out_start: np.ndarray,
-        out_end: np.ndarray,
-    ) -> None:
-        """One fused range pass; spans land in the output views."""
-        if jit.enabled():
-            runner = jit.range_runner_for(self)
-            if runner is not None:
-                runner(lo, hi, out_start, out_end)
-                return
-        starts, ends = self._range_bounds(lo, hi)
-        out_start[:] = starts
-        out_end[:] = ends
-
-    def _range_kernel_args(self):
-        """(range-kernel name, packed structure args) or None.
-
-        Mirrors :meth:`_batch_kernel_args` for the range kernels in
-        :mod:`repro.indexes.kernels`; the base implementation opts out.
-        """
-        return None
-
     def _range_batch_counters(self, count: int) -> PerfCounters:
-        """Structural fused-counter delta for ``count`` range probes.
+        """Structural counter delta for ``count`` range probes.
 
-        A range probe runs two bound traversals (lo and hi) and writes
-        two int64 span endpoints per pair.
+        A range probe runs two lower-bound descents (lo and hi) and
+        writes two int64 span endpoints per pair.
         """
         return PerfCounters(
             lookups=float(count),
@@ -394,13 +344,13 @@ class Index(abc.ABC):
             raise SimulationError("cannot trace an empty lookup batch")
         if not obs.enabled():
             recorder = TraceRecorder(len(keys))
-            positions = self._traverse(keys, recorder=recorder)
+            positions = self._find(keys, recorder=recorder)
             trace = recorder.build()
             simt = self._simt_cost(trace.steps_per_lookup)
             return LookupResult(positions=positions, trace=trace, simt=simt)
         with obs.span("index.probe", index=self.name, lookups=len(keys)) as probe:
             recorder = TraceRecorder(len(keys))
-            positions = self._traverse(keys, recorder=recorder)
+            positions = self._find(keys, recorder=recorder)
             trace = recorder.build()
             simt = self._simt_cost(trace.steps_per_lookup)
             probe.set("steps", trace.num_steps)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .. import obs
-from ..data.column import KEY_DTYPE, MaterializedColumn
+from ..data.column import KEY_DTYPE
 from ..data.relation import Relation
 from ..hardware.memory import SystemMemory
 from ..perf.analytic import midtree_sweep_pages
@@ -61,12 +61,13 @@ class BinarySearchIndex(Index):
         self._placed = True
 
     # ------------------------------------------------------------------
-    # Traversal.
+    # Descent.
     # ------------------------------------------------------------------
 
-    def _traverse(
-        self, keys: np.ndarray, recorder: Optional[TraceRecorder]
+    def _lower_bound(
+        self, keys: np.ndarray, recorder: Optional[TraceRecorder] = None
     ) -> np.ndarray:
+        """Vectorized lower-bound bisection of the full column."""
         keys = np.asarray(keys, dtype=KEY_DTYPE)
         n = len(self.column)
         count = len(keys)
@@ -84,55 +85,19 @@ class BinarySearchIndex(Index):
             mid = (lo + hi) >> 1
             if recorder is not None:
                 recorder.record(base + mid * KEY_BYTES, active=active)
-            safe_mid = np.where(active, mid, 0)
-            mid_keys = self.column.key_at(safe_mid)
+            mid_keys = self.column.key_at(np.where(active, mid, 0))
             go_right = active & (mid_keys < keys)
             lo = np.where(go_right, mid + 1, lo)
             hi = np.where(active & ~go_right, mid, hi)
             active = lo < hi
         if obs.enabled():
             obs.add("index.search_rounds", float(rounds), index=self.name)
-        in_range = lo < n
-        # Final verification read of the lower-bound position (the INLJ
-        # fetches the candidate match anyway).
         if recorder is not None:
+            # Verification read of the candidate match.
+            in_range = lo < n
             recorder.record(base + np.where(in_range, lo, 0) * KEY_BYTES,
                             active=in_range)
-        found = np.zeros(count, dtype=bool)
-        if in_range.any():
-            candidate = np.where(in_range, lo, 0)
-            found_keys = self.column.key_at(candidate)
-            found = in_range & (found_keys == keys)
-        positions = np.where(found, lo, np.int64(-1))
-        return positions
-
-    def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
-        """Plain vectorized lower-bound bisection of the full column."""
-        keys = np.asarray(keys, dtype=KEY_DTYPE)
-        n = len(self.column)
-        count = len(keys)
-        lo = np.zeros(count, dtype=np.int64)
-        hi = np.full(count, n, dtype=np.int64)
-        active = lo < hi
-        while active.any():
-            mid = (lo + hi) >> 1
-            mid_keys = self.column.key_at(np.where(active, mid, 0))
-            go_right = active & (mid_keys < keys)
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(active & ~go_right, mid, hi)
-            active = lo < hi
         return lo
-
-    def _batch_kernel_args(self):
-        """Scalar-kernel packing: the raw sorted key array is the index."""
-        if not isinstance(self.column, MaterializedColumn):
-            return None
-        return ("binary_search_batch", (self.column.keys,))
-
-    def _range_kernel_args(self):
-        if not isinstance(self.column, MaterializedColumn):
-            return None
-        return ("binary_search_range_batch", (self.column.keys,))
 
     # ------------------------------------------------------------------
     # Analytic locality.

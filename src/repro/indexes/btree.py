@@ -208,7 +208,11 @@ class BPlusTreeIndex(Index):
         keys: np.ndarray,
         recorder: Optional[TraceRecorder],
     ) -> np.ndarray:
-        """Lower-bound position of each key inside its leaf; -1 if absent."""
+        """Lower-bound slot of each key inside its leaf.
+
+        ``leaf_entries`` when every entry of the leaf is below the key;
+        a recorded search then skips the verification read.
+        """
         count = len(keys)
         slot_lo = np.zeros(count, dtype=np.int64)
         slot_hi = np.full(count, self.leaf_entries, dtype=np.int64)
@@ -225,26 +229,29 @@ class BPlusTreeIndex(Index):
             slot_lo = np.where(go_right, mid + 1, slot_lo)
             slot_hi = np.where(active & ~go_right, mid, slot_hi)
             active = slot_lo < slot_hi
-        in_leaf = slot_lo < self.leaf_entries
         if recorder is not None:
+            in_leaf = slot_lo < self.leaf_entries
             recorder.record(
                 base + np.where(in_leaf, slot_lo, 0) * entry_bytes,
                 active=in_leaf,
             )
-        found_keys = self._leaf_keys(leaves, np.where(in_leaf, slot_lo, 0))
-        positions = leaves * self.leaf_entries + slot_lo
-        # A hit must land on a *data* slot: padding slots past the end of
-        # the column hold the MAX sentinel, and a probe key of MAX would
-        # otherwise "match" the padding and return an out-of-bounds
-        # position (found by the differential suite).
-        found = (
-            in_leaf & (positions < len(self.column)) & (found_keys == keys)
-        )
-        return np.where(found, positions, np.int64(-1))
+        return slot_lo
 
-    def _traverse(
-        self, keys: np.ndarray, recorder: Optional[TraceRecorder]
+    def _lower_bound(
+        self, keys: np.ndarray, recorder: Optional[TraceRecorder] = None
     ) -> np.ndarray:
+        """Root-to-leaf descent to the lower-bound position.
+
+        Internal levels take the upper bound on separators, which picks
+        the leaf whose key range covers the probe; the leaf search is a
+        lower-bound bisection, and ``leaf * entries + slot`` is the
+        global insertion position.  Dense leaf packing makes that
+        position exact for absent keys too: a probe past a full leaf's
+        last key lands on slot ``leaf_entries``, i.e. the start of the
+        next leaf.  Positions past the data clamp to ``len(column)``
+        (padding slots hold the MAX sentinel, so a probe of MAX could
+        otherwise land on one).
+        """
         keys = np.asarray(keys, dtype=KEY_DTYPE)
         if obs.enabled():
             obs.add(
@@ -255,73 +262,13 @@ class BPlusTreeIndex(Index):
         nodes = np.zeros(len(keys), dtype=np.int64)
         for level in range(len(self.level_sizes) - 1):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
             child = self._search_internal(level, nodes, keys, recorder)
-            nodes = nodes * self.fanout + child
             # Dense packing can address children past the level's end for
             # the right-most path; clamp to the last node of the next level.
-            nodes = np.minimum(nodes, self.level_sizes[level + 1] - 1)
-        return self._search_leaf(nodes, keys, recorder)
-
-    def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
-        """Lower bound via the same descent ``_traverse`` runs.
-
-        Internal levels are unchanged (upper bound on separators picks
-        the leaf whose key range covers the probe); the leaf search
-        keeps its lower-bound bisection but returns the *global
-        insertion position* ``leaf * entries + slot`` instead of
-        equality-checking it.  Dense leaf packing makes that position
-        exact for absent keys too: a probe past a full leaf's last key
-        lands on slot ``leaf_entries``, i.e. the start of the next leaf.
-        """
-        keys = np.asarray(keys, dtype=KEY_DTYPE)
-        nodes = np.zeros(len(keys), dtype=np.int64)
-        for level in range(len(self.level_sizes) - 1):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
-            child = self._search_internal(level, nodes, keys, None)
             nodes = np.minimum(
                 nodes * self.fanout + child, self.level_sizes[level + 1] - 1
             )
-        count = len(keys)
-        slot_lo = np.zeros(count, dtype=np.int64)
-        slot_hi = np.full(count, self.leaf_entries, dtype=np.int64)
-        active = slot_lo < slot_hi
-        while active.any():
-            mid = (slot_lo + slot_hi) >> 1
-            entry_keys = self._leaf_keys(nodes, np.where(active, mid, 0))
-            go_right = active & (entry_keys < keys)
-            slot_lo = np.where(go_right, mid + 1, slot_lo)
-            slot_hi = np.where(active & ~go_right, mid, slot_hi)
-            active = slot_lo < slot_hi
-        return np.minimum(
-            nodes * self.leaf_entries + slot_lo, len(self.column)
-        )
-
-    def _batch_kernel_args(self):
-        """Scalar-kernel packing: geometry as plain int64 arrays."""
-        if not isinstance(self.column, MaterializedColumn):
-            return None
-        return (
-            "btree_batch",
-            (
-                self.column.keys,
-                np.asarray(self.level_sizes, dtype=np.int64),
-                np.asarray(self.level_coverage, dtype=np.int64),
-                self.fanout,
-                self.leaf_entries,
-            ),
-        )
-
-    def _range_kernel_args(self):
-        if not isinstance(self.column, MaterializedColumn):
-            return None
-        return (
-            "btree_range_batch",
-            (
-                self.column.keys,
-                np.asarray(self.level_sizes, dtype=np.int64),
-                np.asarray(self.level_coverage, dtype=np.int64),
-                self.fanout,
-                self.leaf_entries,
-            ),
-        )
+        slots = self._search_leaf(nodes, keys, recorder)
+        return np.minimum(nodes * self.leaf_entries + slots, len(self.column))
 
     # ------------------------------------------------------------------
     # Updates (materialized columns only).

@@ -112,46 +112,12 @@ class FastTreeIndex(Index):
         return np.where(exists, keys, _MAX_KEY)
 
     # ------------------------------------------------------------------
-    # Traversal (vectorized Eytzinger lower bound).
+    # Descent (vectorized Eytzinger lower bound).
     # ------------------------------------------------------------------
 
-    def _traverse(
-        self, keys: np.ndarray, recorder: Optional[TraceRecorder]
+    def _lower_bound(
+        self, keys: np.ndarray, recorder: Optional[TraceRecorder] = None
     ) -> np.ndarray:
-        keys = np.asarray(keys, dtype=KEY_DTYPE)
-        count = len(keys)
-        slots = np.ones(count, dtype=np.int64)
-        base = self._allocation.base if recorder is not None else 0
-        for __ in range(self.tree_height):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
-            if recorder is not None:
-                recorder.record(base + slots * KEY_BYTES)
-            slot_keys = self._keys_of_slots(slots)
-            slots = 2 * slots + (slot_keys < keys).astype(np.int64)
-        # Lower-bound extraction: drop the trailing 1-bits plus one --
-        # the last left turn on the search path is the lower bound.
-        trailing_one_block = (~slots) & (slots + 1)  # == 1 << trailing_ones
-        # log2 of a power of two in [1, 2^63] is exactly 0..63; the
-        # clamp makes the float->int64 cast provably in range (NP002).
-        shift = clamped_int64(
-            np.log2(trailing_one_block.astype(np.float64)), 0.0, 63.0
-        )
-        bound_slots = slots >> (shift + 1)
-        found_mask = bound_slots > 0
-        if recorder is not None:
-            # Final verification read of the candidate match.
-            recorder.record(
-                base + np.where(found_mask, bound_slots, 1) * KEY_BYTES,
-                active=found_mask,
-            )
-        safe_slots = np.where(found_mask, bound_slots, 1)
-        ranks = self._ranks_of_slots(safe_slots)
-        n = len(self.column)
-        in_range = found_mask & (ranks < n)
-        safe_ranks = np.where(in_range, ranks, 0)
-        matches = in_range & (self.column.key_at(safe_ranks) == keys)
-        return np.where(matches, ranks, np.int64(-1))
-
-    def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
         """Lower bound via the Eytzinger descent's trailing-ones trick.
 
         The descent computes the lower bound over the MAX-padded
@@ -161,23 +127,30 @@ class FastTreeIndex(Index):
         all) means every key is below the probe: lower bound ``n``.
         """
         keys = np.asarray(keys, dtype=KEY_DTYPE)
-        count = len(keys)
-        slots = np.ones(count, dtype=np.int64)
+        slots = np.ones(len(keys), dtype=np.int64)
+        base = self._allocation.base if recorder is not None else 0
         for __ in range(self.tree_height):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
+            if recorder is not None:
+                recorder.record(base + slots * KEY_BYTES)
             slot_keys = self._keys_of_slots(slots)
             slots = 2 * slots + (slot_keys < keys).astype(np.int64)
-        trailing_one_block = (~slots) & (slots + 1)
+        # The last left turn on the search path is the lower bound: drop
+        # the trailing 1-bits plus one.
+        trailing_one_block = (~slots) & (slots + 1)  # == 1 << trailing_ones
+        # log2 of a power of two in [1, 2^63] is exactly 0..63; the
+        # clamp makes the float->int64 cast provably in range (NP002).
         shift = clamped_int64(
             np.log2(trailing_one_block.astype(np.float64)), 0.0, 63.0
         )
         bound_slots = slots >> (shift + 1)
         found_mask = bound_slots > 0
-        n = len(self.column)
         safe_slots = np.where(found_mask, bound_slots, 1)
+        if recorder is not None:
+            # Verification read of the candidate match.
+            recorder.record(base + safe_slots * KEY_BYTES, active=found_mask)
+        n = len(self.column)
         ranks = self._ranks_of_slots(safe_slots)
-        return np.where(
-            found_mask, np.minimum(ranks, n), np.int64(n)
-        ).astype(np.int64)
+        return np.where(found_mask, np.minimum(ranks, n), np.int64(n))
 
     # ------------------------------------------------------------------
     # Analytic locality.

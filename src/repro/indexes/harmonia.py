@@ -27,7 +27,7 @@ import numpy as np
 
 from .. import obs
 from ..config import DEFAULT_HARMONIA_NODE_KEYS
-from ..data.column import KEY_DTYPE
+from ..data.column import KEY_DTYPE, MaterializedColumn
 from ..data.relation import Relation
 from ..errors import ConfigurationError, SimulationError
 from ..gpu.simt import SimtCost, subwarp_lookup_cost
@@ -135,29 +135,6 @@ class HarmoniaIndex(Index):
     # Implicit node contents.
     # ------------------------------------------------------------------
 
-    def _node_keys_matrix(
-        self, level: int, nodes: np.ndarray
-    ) -> np.ndarray:
-        """All ``node_keys`` keys of each node: shape (len(nodes), node_keys).
-
-        Key ``s`` of a node is the first column key covered by its child
-        ``s`` (for leaves: simply the s-th covered key); MAX past the data.
-        """
-        child_coverage = (
-            self.level_coverage[level + 1]
-            if level + 1 < len(self.level_sizes)
-            else 1
-        )
-        slots = np.arange(self.node_keys, dtype=np.int64)
-        first_positions = (
-            nodes[:, None] * self.node_keys + slots[None, :]
-        ) * child_coverage
-        n = len(self.column)
-        exists = first_positions < n
-        safe = np.where(exists, first_positions, 0)
-        keys = self.column.key_at(safe.reshape(-1)).reshape(safe.shape)
-        return np.where(exists, keys, _MAX_KEY)
-
     def _node_child_counts(
         self,
         level: int,
@@ -167,15 +144,15 @@ class HarmoniaIndex(Index):
     ) -> np.ndarray:
         """Per lane: how many of its node's keys are <= the probe.
 
-        Equivalent to ``(self._node_keys_matrix(level, nodes) <=
-        keys[:, None]).sum(axis=1)`` without materializing the
-        (lanes, node_keys) matrix: node keys are nondecreasing (strictly
+        Key ``s`` of a node is the first column key covered by its child
+        ``s`` (for leaves: simply the s-th covered key); MAX past the
+        data.  Node keys are therefore nondecreasing (strictly
         increasing while backed by data, MAX-padded past it), so a
         vectorized binary search over the key slots gathers
-        ``log2(node_keys)`` keys per lane instead of ``node_keys``.
+        ``log2(node_keys)`` keys per lane instead of all ``node_keys``.
 
         ``strict=True`` counts keys strictly below the probe instead --
-        the leaf-level variant the range primitive's lower bound needs.
+        the leaf-level variant the lower bound needs.
         """
         child_coverage = (
             self.level_coverage[level + 1]
@@ -203,110 +180,64 @@ class HarmoniaIndex(Index):
         return lo
 
     # ------------------------------------------------------------------
-    # Traversal.
+    # Descent.
     # ------------------------------------------------------------------
 
-    def _traverse(
-        self, keys: np.ndarray, recorder: Optional[TraceRecorder]
+    def _record_visit(
+        self, level: int, nodes: np.ndarray, recorder: TraceRecorder
+    ) -> None:
+        """Accesses of one cooperative node visit per lane."""
+        node_base = (
+            self._key_region.base
+            + (self.level_offsets[level] + nodes) * self.node_keys * KEY_BYTES
+        )
+        # Cooperative search reads the whole node: one access per
+        # cacheline it spans.
+        lines_per_node = max(1, (self.node_keys * KEY_BYTES + 127) // 128)
+        for line in range(lines_per_node):  # repro: noqa[PERF001] -- O(node cachelines) trace recording, traced path only
+            recorder.record(node_base + line * 128)
+        # Child location via the prefix-sum array (tiny, hot).
+        recorder.record(
+            self._child_array.base
+            + (self.level_offsets[level] + nodes) * _CHILD_ENTRY_BYTES
+        )
+
+    def _lower_bound(
+        self, keys: np.ndarray, recorder: Optional[TraceRecorder] = None
     ) -> np.ndarray:
+        """Key-region descent to the lower-bound position.
+
+        Each internal level picks child ``(node keys <= probe) - 1``
+        (key 0 is the subtree minimum, so the count is >= 1 for
+        in-range probes).  At the leaf the strict count (keys < probe)
+        is the local insertion slot, and dense leaf packing makes
+        ``leaf * node_keys + slot`` the global insertion position for
+        absent probes too.
+        """
         keys = np.asarray(keys, dtype=KEY_DTYPE)
-        count = len(keys)
+        height = len(self.level_sizes)
         if obs.enabled():
             obs.add(
                 "index.node_visits",
-                float(count * len(self.level_sizes)),
+                float(len(keys) * height),
                 index=self.name,
             )
-        nodes = np.zeros(count, dtype=np.int64)
-        lines_per_node = max(
-            1, (self.node_keys * KEY_BYTES + 127) // 128
-        )
-        for level in range(len(self.level_sizes)):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
-            if recorder is not None:
-                node_base = (
-                    self._key_region.base
-                    + (self.level_offsets[level] + nodes)
-                    * self.node_keys
-                    * KEY_BYTES
-                )
-                # Cooperative search reads the whole node: one access per
-                # cacheline it spans.
-                for line in range(lines_per_node):  # repro: noqa[PERF001] -- O(node cachelines) trace recording, traced path only
-                    recorder.record(node_base + line * 128)
-                # Child location via the prefix-sum array (tiny, hot).
-                child_base = self._child_array.base + (
-                    (self.level_offsets[level] + nodes) * _CHILD_ENTRY_BYTES
-                )
-                recorder.record(child_base)
-            # child = (number of node keys <= probe) - 1; key 0 is the
-            # subtree minimum, so the count is >= 1 for in-range probes.
-            counts = self._node_child_counts(level, nodes, keys)
-            child = np.maximum(counts - 1, 0).astype(np.int64)
-            if level + 1 < len(self.level_sizes):
-                nodes = nodes * self.fanout + child
-                nodes = np.minimum(nodes, self.level_sizes[level + 1] - 1)
-            else:
-                positions = nodes * self.node_keys + child
-                n = len(self.column)
-                in_range = positions < n
-                safe = np.where(in_range, positions, 0)
-                found = in_range & (self.column.key_at(safe) == keys)
-                return np.where(found, positions, np.int64(-1))
-        raise SimulationError("traversal fell off the tree")  # pragma: no cover
-
-    def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
-        """Lower bound via the key-region descent.
-
-        Internal levels descend exactly as ``_traverse`` does; at the
-        leaf the strict count (keys < probe) is the local insertion
-        slot, and dense leaf packing makes ``leaf * node_keys + slot``
-        the global insertion position for absent probes too.
-        """
-        keys = np.asarray(keys, dtype=KEY_DTYPE)
         nodes = np.zeros(len(keys), dtype=np.int64)
-        height = len(self.level_sizes)
         for level in range(height - 1):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
+            if recorder is not None:
+                self._record_visit(level, nodes, recorder)
             counts = self._node_child_counts(level, nodes, keys)
             child = np.maximum(counts - 1, 0).astype(np.int64)
             nodes = np.minimum(
                 nodes * self.fanout + child, self.level_sizes[level + 1] - 1
             )
+        if recorder is not None:
+            self._record_visit(height - 1, nodes, recorder)
         counts_lt = self._node_child_counts(
             height - 1, nodes, keys, strict=True
         )
         return np.minimum(
             nodes * self.node_keys + counts_lt, len(self.column)
-        )
-
-    def _batch_kernel_args(self):
-        """Scalar-kernel packing: geometry as plain int64 arrays."""
-        from ..data.column import MaterializedColumn
-
-        if not isinstance(self.column, MaterializedColumn):
-            return None
-        return (
-            "harmonia_batch",
-            (
-                self.column.keys,
-                np.asarray(self.level_sizes, dtype=np.int64),
-                np.asarray(self.level_coverage, dtype=np.int64),
-                self.node_keys,
-            ),
-        )
-
-    def _range_kernel_args(self):
-        from ..data.column import MaterializedColumn
-
-        if not isinstance(self.column, MaterializedColumn):
-            return None
-        return (
-            "harmonia_range_batch",
-            (
-                self.column.keys,
-                np.asarray(self.level_sizes, dtype=np.int64),
-                np.asarray(self.level_coverage, dtype=np.int64),
-                self.node_keys,
-            ),
         )
 
     # ------------------------------------------------------------------
@@ -332,8 +263,6 @@ class HarmoniaIndex(Index):
 
     def insert_keys(self, new_keys: np.ndarray) -> "HarmoniaIndex":
         """Merge-and-rebuild insert, as for the B+tree (laptop scale)."""
-        from ..data.column import MaterializedColumn
-
         if not isinstance(self.column, MaterializedColumn):
             raise SimulationError(
                 "inserts require a materialized column; virtual columns are "

@@ -362,7 +362,7 @@ class RadixSplineIndex(Index):
         self._placed = True
 
     # ------------------------------------------------------------------
-    # Traversal.
+    # Descent.
     # ------------------------------------------------------------------
 
     def _predict(
@@ -370,13 +370,10 @@ class RadixSplineIndex(Index):
     ) -> np.ndarray:
         """Predicted column position of each key (steps 1-3 of a lookup).
 
-        Shared by ``_traverse`` (which finishes with the +-error_bound
-        data search) and ``_lower_bound`` (which widens the window; see
-        there).  The prediction is the piecewise-linear spline evaluated
-        at the probe, so it is monotone in the key -- the property the
-        range primitive's window-width argument rests on.
+        The first half of :meth:`_lower_bound`.  The prediction is the
+        piecewise-linear spline evaluated at the probe, so it is monotone
+        in the key -- the property the search-margin argument rests on.
         """
-        count = len(keys)
         n = len(self.column)
         # 1. Radix table: one read per lookup.  Clamp-then-subtract in
         # uint64: an int64 cast of keys >= 2^63 wraps negative, and a
@@ -447,16 +444,34 @@ class RadixSplineIndex(Index):
             )
         return clamped_int64(predicted, 0.0, float(n - 1))
 
-    def _traverse(
-        self, keys: np.ndarray, recorder: Optional[TraceRecorder]
+    def _lower_bound(
+        self,
+        keys: np.ndarray,
+        recorder: Optional[TraceRecorder] = None,
+        margin: Optional[int] = None,
     ) -> np.ndarray:
+        """Spline prediction, then a bounded bisection of the data.
+
+        The bisection searches ``margin`` positions on each side of the
+        prediction.  ``error_bound`` is measured over member keys only.
+        For an absent probe between keys ``k_i < q < k_{i+1}`` the
+        insertion point is ``i + 1`` while the monotone prediction lies
+        in ``[predicted(k_i), predicted(k_{i+1})] <= [i - e, i + 1 + e]``,
+        so the true insertion point is within ``e + 1`` of the
+        prediction (out-of-domain probes clamp within the same bound).
+        Rounding adds at most one more position; the default margin is
+        therefore ``error_bound + 2``.  Equality lookups pass
+        ``error_bound``, which is exact for member keys only (see
+        :meth:`_find`).
+        """
         keys = np.asarray(keys, dtype=KEY_DTYPE)
-        count = len(keys)
         n = len(self.column)
+        if margin is None:
+            margin = self.error_bound + 2
         estimate = self._predict(keys, recorder)
         # 4. Bounded binary search of the data.
-        search_lo = np.maximum(estimate - self.error_bound, 0)
-        search_hi = np.minimum(estimate + self.error_bound + 1, n)
+        search_lo = np.maximum(estimate - margin, 0)
+        search_hi = np.minimum(estimate + margin + 1, n)
         base = (
             self.relation.allocation.base
             if recorder is not None and self.relation.allocation is not None
@@ -480,84 +495,26 @@ class RadixSplineIndex(Index):
                 float(data_rounds),
                 index=self.name,
             )
-        in_range = search_lo < n
         if recorder is not None:
+            # Verification read of the candidate match.
+            in_range = search_lo < n
             recorder.record(
                 base + np.where(in_range, search_lo, 0) * KEY_BYTES,
                 active=in_range,
             )
-        found = np.zeros(count, dtype=bool)
-        if in_range.any():
-            candidate = np.where(in_range, search_lo, 0)
-            found = in_range & (self.column.key_at(candidate) == keys)
-        return np.where(found, search_lo, np.int64(-1))
-
-    def _lower_bound(self, keys: np.ndarray) -> np.ndarray:
-        """Lower bound via the spline prediction and a *widened* search.
-
-        ``error_bound`` is measured over member keys only.  For an
-        absent probe between keys ``k_i < q < k_{i+1}`` the insertion
-        point is ``i + 1`` while the monotone prediction lies in
-        ``[predicted(k_i), predicted(k_{i+1})] <= [i - e, i + 1 + e]``,
-        so the true insertion point is within ``e + 1`` of the
-        prediction (out-of-domain probes clamp within the same bound).
-        Rounding adds at most one more position; the search window is
-        therefore widened to ``error_bound + 2`` on each side.
-        """
-        keys = np.asarray(keys, dtype=KEY_DTYPE)
-        n = len(self.column)
-        estimate = self._predict(keys, None)
-        margin = self.error_bound + 2
-        search_lo = np.maximum(estimate - margin, 0)
-        search_hi = np.minimum(estimate + margin + 1, n)
-        active = search_lo < search_hi
-        while active.any():
-            mid = (search_lo + search_hi) >> 1
-            mid_keys = self.column.key_at(np.where(active, mid, 0))
-            go_right = active & (mid_keys < keys)
-            search_lo = np.where(go_right, mid + 1, search_lo)
-            search_hi = np.where(active & ~go_right, mid, search_hi)
-            active = search_lo < search_hi
         return search_lo
 
-    def _batch_kernel_args(self):
-        """Scalar-kernel packing; implicit (virtual-column) splines gather
-        keys on demand and cannot be expressed over plain arrays."""
-        if self.spline_keys is None or not isinstance(
-            self.column, MaterializedColumn
-        ):
-            return None
-        return (
-            "radix_spline_batch",
-            (
-                self.column.keys,
-                self.radix_table,
-                self.spline_keys,
-                self.spline_positions,
-                np.uint64(self._min_key),
-                np.uint64(self._max_spline_key - self._min_key),
-                np.uint64(self._shift),
-                np.int64(self.error_bound),
-            ),
-        )
+    def _find(
+        self, keys: np.ndarray, recorder: Optional[TraceRecorder]
+    ) -> np.ndarray:
+        """Equality lookup over the narrower +-``error_bound`` window.
 
-    def _range_kernel_args(self):
-        if self.spline_keys is None or not isinstance(
-            self.column, MaterializedColumn
-        ):
-            return None
-        return (
-            "radix_spline_range_batch",
-            (
-                self.column.keys,
-                self.radix_table,
-                self.spline_keys,
-                self.spline_positions,
-                np.uint64(self._min_key),
-                np.uint64(self._max_spline_key - self._min_key),
-                np.uint64(self._shift),
-                np.int64(self.error_bound),
-            ),
+        A member key lies within ``error_bound`` of its prediction, so
+        the window finds it; an absent key matches nowhere anyway.
+        """
+        keys = np.asarray(keys, dtype=KEY_DTYPE)
+        return self._match(
+            keys, self._lower_bound(keys, recorder, margin=self.error_bound)
         )
 
     # ------------------------------------------------------------------
