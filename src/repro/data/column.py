@@ -38,13 +38,26 @@ def _splitmix64(values: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 hash; deterministic and well mixed.
 
     Used to derive per-position noise for virtual columns.  Operates on
-    uint64 with wrap-around, which numpy provides natively.
+    uint64 with wrap-around, which numpy provides natively.  Returns a
+    fresh array; the rounds run in place on it plus one scratch buffer.
     """
-    with np.errstate(over="ignore"):
-        z = values.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+    z = values.astype(np.uint64)
+    _splitmix64_inplace(z)
+    return z
+
+
+def _splitmix64_inplace(z: np.ndarray) -> None:
+    """:func:`_splitmix64` over a uint64 array, overwriting it."""
+    scratch = np.empty_like(z)
+    z += np.uint64(0x9E3779B97F4A7C15)
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
 class Column:
@@ -179,8 +192,7 @@ class MaterializedColumn(Column):
         return view
 
     def key_at(self, positions: ArrayLike) -> np.ndarray:
-        positions = np.asarray(positions)
-        return self._keys[positions]
+        return np.take(self._keys, positions)
 
     def rank_of(self, keys: ArrayLike) -> np.ndarray:
         keys = np.asarray(keys, dtype=KEY_DTYPE)
@@ -248,16 +260,10 @@ class VirtualSortedColumn(Column):
         # Noise range keeps the sequence strictly increasing with the
         # largest possible gap floor: noise in [0, stride-2] for stride>=3.
         self._noise_mod = max(1, stride - 1)
+        self._seed_mix = np.uint64((seed * 0x5851F42D4C957F2D) % 2**64)
 
     def __len__(self) -> int:
         return self.num_keys
-
-    def _noise(self, positions: np.ndarray) -> np.ndarray:
-        if self._noise_mod == 1:
-            return np.zeros(len(positions), dtype=KEY_DTYPE)
-        seed_mix = np.uint64((self.seed * 0x5851F42D4C957F2D) % 2**64)
-        mixed = _splitmix64(positions.astype(np.uint64) ^ seed_mix)
-        return mixed % np.uint64(self._noise_mod)
 
     def key_at(self, positions: ArrayLike) -> np.ndarray:
         positions = np.atleast_1d(np.asarray(positions))
@@ -267,11 +273,17 @@ class VirtualSortedColumn(Column):
             raise ConfigurationError(
                 f"positions out of range [0, {self.num_keys})"
             )
-        base = (
-            np.uint64(self.offset)
-            + positions.astype(np.uint64) * np.uint64(self.stride)
-        )
-        return base + self._noise(positions)
+        keys = positions.astype(np.uint64)
+        noise = np.uint64(0)
+        if self._noise_mod > 1:
+            # noise(i) = splitmix64(i ^ seed_mix) mod g, built in place.
+            noise = keys ^ self._seed_mix
+            _splitmix64_inplace(noise)
+            noise %= np.uint64(self._noise_mod)
+        keys *= np.uint64(self.stride)
+        keys += np.uint64(self.offset)
+        keys += noise
+        return keys
 
     def rank_of(self, keys: ArrayLike) -> np.ndarray:
         keys = np.atleast_1d(np.asarray(keys, dtype=KEY_DTYPE))

@@ -12,6 +12,10 @@ ways:
   access so the machine model can replay it;
 * ``probe_range_batch`` runs it twice, once per span bound.
 
+Every bisection inside a descent -- over the column, node slots or
+spline points -- is one :func:`bisect` call, so the round structure
+(and with it every recorded midpoint) is defined in one place.
+
 One descent for all three guarantees the simulated access pattern is
 exactly the access pattern of the functional algorithm, which is the
 property the whole reproduction rests on.
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +70,15 @@ class TraceRecorder:
             addresses = np.where(active, addresses, np.int64(-1))
         self._steps.append(addresses)
 
+    def strided(self, base, stride: int) -> "RoundRecorder":
+        """A :func:`bisect` ``record`` callback: each round reads
+        ``base + mid * stride`` (``base`` a scalar or per-lane array)."""
+
+        def record(mid, active):
+            self.record(base + mid * stride, active=active)
+
+        return record
+
     @property
     def num_steps(self) -> int:
         return len(self._steps)
@@ -80,6 +93,66 @@ class TraceRecorder:
         return LookupTrace(
             step_addresses=matrix, steps_per_lookup=steps_per_lookup
         )
+
+
+#: ``record(mid, active)`` callback of :func:`bisect`.
+RoundRecorder = Callable[[np.ndarray, Optional[np.ndarray]], None]
+
+
+def bisect(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    probes: np.ndarray,
+    key_at: Callable[[np.ndarray], np.ndarray],
+    strict: bool = True,
+    record: Optional[RoundRecorder] = None,
+) -> Tuple[np.ndarray, int]:
+    """Per-lane bisection of ``[lo, hi)``: final ``lo`` and round count.
+
+    Each lane ends at the first position whose key is >= its probe
+    (``strict=True``, a lower bound) or > it (``strict=False``, an upper
+    bound), given keys nondecreasing over the lane's range; lanes with
+    ``lo >= hi`` keep their ``lo``.  ``key_at(mid)`` returns the key at
+    each lane's midpoint; ``record(mid, active)`` sees every round's
+    midpoints before the gather, with ``active=None`` when every lane
+    takes part; it must not keep ``mid``, which the round goes on to
+    reuse.
+
+    Every round uses the midpoint ``(lo + hi) >> 1`` of every lane, so
+    the recorded midpoints are those of the textbook masked loop.  A lane
+    of width ``w`` stays active for at least ``floor(log2(w + 1))``
+    rounds, so the rounds up to that bound for the narrowest lane need no
+    mask at all; only the last one or two rounds mask finished lanes.
+    """
+    if len(lo) == 0:
+        return lo, 0
+    compare = np.less if strict else np.less_equal
+    narrowest = max(int((hi - lo).min()), 0)
+    unmasked = (narrowest + 1).bit_length() - 1
+    rounds = 0
+    while rounds < unmasked:
+        rounds += 1
+        mid = lo + hi
+        mid >>= 1
+        if record is not None:
+            record(mid, None)
+        go_right = compare(key_at(mid), probes)
+        hi = np.where(go_right, hi, mid)
+        mid += 1
+        lo = np.where(go_right, mid, lo)
+    while True:
+        active = lo < hi
+        if not active.any():
+            return lo, rounds
+        rounds += 1
+        mid = lo + hi
+        mid >>= 1
+        if record is not None:
+            record(mid, active)
+        go_right = active & compare(key_at(np.where(active, mid, 0)), probes)
+        hi = np.where(active & ~go_right, mid, hi)
+        mid += 1
+        lo = np.where(go_right, mid, lo)
 
 
 @dataclass
@@ -193,6 +266,33 @@ class Index(abc.ABC):
             self.column.key_at(np.where(in_range, lower, 0)) == keys
         )
         return np.where(found, lower, np.int64(-1))
+
+    def _bisect_column(
+        self,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        keys: np.ndarray,
+        recorder: Optional[TraceRecorder],
+    ) -> Tuple[np.ndarray, int]:
+        """Lower-bound bisection of the column over per-lane ``[lo, hi)``.
+
+        Returns the final ``lo`` and the round count.  A recorded search
+        reads one column key per round and then, where ``lo`` is inside
+        the column, the candidate match (the verification read).
+        """
+        if recorder is None:
+            return bisect(lo, hi, keys, self.column.key_at)
+        allocation = self.relation.allocation
+        base = allocation.base if allocation is not None else 0
+        lo, rounds = bisect(
+            lo, hi, keys, self.column.key_at,
+            record=recorder.strided(base, KEY_BYTES),
+        )
+        in_range = lo < len(self.column)
+        recorder.record(
+            base + np.where(in_range, lo, 0) * KEY_BYTES, active=in_range
+        )
+        return lo, rounds
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Functional lookup: position of each key in the column, -1 if absent."""

@@ -17,9 +17,9 @@ import numpy as np
 from .. import obs
 from ..data.column import KEY_DTYPE
 from ..data.relation import Relation
+from ..errors import SimulationError
 from ..hardware.memory import SystemMemory
 from ..perf.analytic import midtree_sweep_pages
-from ..units import KEY_BYTES
 from .base import Index, TraceRecorder
 
 
@@ -51,13 +51,10 @@ class BinarySearchIndex(Index):
     def place(self, memory: SystemMemory) -> None:
         """No structure to allocate; only requires the relation be placed."""
         if self.relation.allocation is None:
-            raise_from = (
+            raise SimulationError(
                 "binary search needs the relation placed in host memory "
                 "before tracing"
             )
-            from ..errors import SimulationError
-
-            raise SimulationError(raise_from)
         self._placed = True
 
     # ------------------------------------------------------------------
@@ -69,35 +66,15 @@ class BinarySearchIndex(Index):
     ) -> np.ndarray:
         """Vectorized lower-bound bisection of the full column."""
         keys = np.asarray(keys, dtype=KEY_DTYPE)
-        n = len(self.column)
-        count = len(keys)
-        lo = np.zeros(count, dtype=np.int64)
-        hi = np.full(count, n, dtype=np.int64)
-        base = (
-            self.relation.allocation.base
-            if recorder is not None and self.relation.allocation is not None
-            else 0
+        lower, rounds = self._bisect_column(
+            np.zeros(len(keys), dtype=np.int64),
+            np.full(len(keys), len(self.column), dtype=np.int64),
+            keys,
+            recorder,
         )
-        active = lo < hi
-        rounds = 0
-        while active.any():
-            rounds += 1
-            mid = (lo + hi) >> 1
-            if recorder is not None:
-                recorder.record(base + mid * KEY_BYTES, active=active)
-            mid_keys = self.column.key_at(np.where(active, mid, 0))
-            go_right = active & (mid_keys < keys)
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(active & ~go_right, mid, hi)
-            active = lo < hi
         if obs.enabled():
             obs.add("index.search_rounds", float(rounds), index=self.name)
-        if recorder is not None:
-            # Verification read of the candidate match.
-            in_range = lo < n
-            recorder.record(base + np.where(in_range, lo, 0) * KEY_BYTES,
-                            active=in_range)
-        return lo
+        return lower
 
     # ------------------------------------------------------------------
     # Analytic locality.

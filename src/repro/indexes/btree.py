@@ -40,7 +40,7 @@ from ..errors import ConfigurationError, SimulationError
 from ..hardware.memory import MemorySpace, SystemMemory
 from ..perf.analytic import level_sweep_pages
 from ..units import KEY_BYTES
-from .base import Index, TraceRecorder
+from .base import Index, TraceRecorder, bisect
 
 #: Sentinel for "no separator here" (child beyond the data).
 _MAX_KEY = np.uint64(np.iinfo(np.uint64).max)
@@ -143,32 +143,15 @@ class BPlusTreeIndex(Index):
     # Implicit node contents.
     # ------------------------------------------------------------------
 
-    def _separator_keys(
-        self, level: int, nodes: np.ndarray, slots: np.ndarray
-    ) -> np.ndarray:
-        """Separator ``slots`` of internal ``nodes`` at ``level``.
+    def _keys_or_max(self, positions: np.ndarray) -> np.ndarray:
+        """Column keys at ``positions``; MAX at positions past the data.
 
-        Separator s = first key of child s+1 = column key at position
-        ``(node*F + s + 1) * child_coverage * leaf_entries``; MAX when that
-        child starts beyond the data.
+        Node entries are read this way: separators (the first key of
+        each child; MAX when that child starts beyond the data) and leaf
+        entries (MAX in the padding slots of the last leaf).
         """
-        child_coverage = self.level_coverage[level + 1]
-        first_position = (
-            (nodes * self.fanout + slots + 1) * child_coverage * self.leaf_entries
-        )
-        n = len(self.column)
-        exists = first_position < n
-        safe = np.where(exists, first_position, 0)
-        keys = self.column.key_at(safe)
-        return np.where(exists, keys, _MAX_KEY)
-
-    def _leaf_keys(self, leaves: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Entry keys inside leaves; MAX past the end of the data."""
-        positions = leaves * self.leaf_entries + slots
-        n = len(self.column)
-        exists = positions < n
-        safe = np.where(exists, positions, 0)
-        keys = self.column.key_at(safe)
+        exists = positions < len(self.column)
+        keys = self.column.key_at(np.where(exists, positions, 0))
         return np.where(exists, keys, _MAX_KEY)
 
     # ------------------------------------------------------------------
@@ -184,23 +167,28 @@ class BPlusTreeIndex(Index):
     ) -> np.ndarray:
         """Child slot chosen in each internal node: upper_bound(separators)."""
         count = len(keys)
-        num_separators = self.fanout - 1
         slot_lo = np.zeros(count, dtype=np.int64)
-        slot_hi = np.full(count, num_separators, dtype=np.int64)
-        base = self._node_address(level, nodes) if recorder is not None else None
-        active = slot_lo < slot_hi
-        while active.any():
-            mid = (slot_lo + slot_hi) >> 1
-            if recorder is not None:
-                recorder.record(base + mid * KEY_BYTES, active=active)
-            separators = self._separator_keys(
-                level, nodes, np.where(active, mid, 0)
+        slot_hi = np.full(count, self.fanout - 1, dtype=np.int64)
+        record = None
+        if recorder is not None:
+            record = recorder.strided(
+                self._node_address(level, nodes), KEY_BYTES
             )
-            go_right = active & (separators <= keys)
-            slot_lo = np.where(go_right, mid + 1, slot_lo)
-            slot_hi = np.where(active & ~go_right, mid, slot_hi)
-            active = slot_lo < slot_hi
-        return slot_lo  # number of separators <= key == child index
+        # Separator s = first key of child s+1, at column position
+        # (node*F + s + 1) * child_coverage * leaf_entries.
+        first_child = nodes * self.fanout + 1
+        child_span = self.level_coverage[level + 1] * self.leaf_entries
+        child, _ = bisect(
+            slot_lo,
+            slot_hi,
+            keys,
+            lambda slots: self._keys_or_max(
+                (first_child + slots) * child_span
+            ),
+            strict=False,
+            record=record,
+        )
+        return child  # number of separators <= key == child index
 
     def _search_leaf(
         self,
@@ -216,26 +204,26 @@ class BPlusTreeIndex(Index):
         count = len(keys)
         slot_lo = np.zeros(count, dtype=np.int64)
         slot_hi = np.full(count, self.leaf_entries, dtype=np.int64)
+        entry_bytes = KEY_BYTES + self.leaf_payload_bytes
+        first_entry = leaves * self.leaf_entries
+        record = None
         if recorder is not None:
             base = self._node_address(len(self.level_sizes) - 1, leaves)
-        active = slot_lo < slot_hi
-        entry_bytes = KEY_BYTES + self.leaf_payload_bytes
-        while active.any():
-            mid = (slot_lo + slot_hi) >> 1
-            if recorder is not None:
-                recorder.record(base + mid * entry_bytes, active=active)
-            entry_keys = self._leaf_keys(leaves, np.where(active, mid, 0))
-            go_right = active & (entry_keys < keys)
-            slot_lo = np.where(go_right, mid + 1, slot_lo)
-            slot_hi = np.where(active & ~go_right, mid, slot_hi)
-            active = slot_lo < slot_hi
+            record = recorder.strided(base, entry_bytes)
+        slots, _ = bisect(
+            slot_lo,
+            slot_hi,
+            keys,
+            lambda slots: self._keys_or_max(first_entry + slots),
+            record=record,
+        )
         if recorder is not None:
-            in_leaf = slot_lo < self.leaf_entries
+            in_leaf = slots < self.leaf_entries
             recorder.record(
-                base + np.where(in_leaf, slot_lo, 0) * entry_bytes,
+                base + np.where(in_leaf, slots, 0) * entry_bytes,
                 active=in_leaf,
             )
-        return slot_lo
+        return slots
 
     def _lower_bound(
         self, keys: np.ndarray, recorder: Optional[TraceRecorder] = None

@@ -36,8 +36,6 @@ from ..perf.analytic import level_sweep_pages
 from ..units import KEY_BYTES
 from .base import Index, TraceRecorder
 
-_MAX_KEY = np.uint64(np.iinfo(np.uint64).max)
-
 #: Bytes per prefix-sum child-array entry.
 _CHILD_ENTRY_BYTES = 4
 
@@ -145,39 +143,47 @@ class HarmoniaIndex(Index):
         """Per lane: how many of its node's keys are <= the probe.
 
         Key ``s`` of a node is the first column key covered by its child
-        ``s`` (for leaves: simply the s-th covered key); MAX past the
-        data.  Node keys are therefore nondecreasing (strictly
-        increasing while backed by data, MAX-padded past it), so a
-        vectorized binary search over the key slots gathers
-        ``log2(node_keys)`` keys per lane instead of all ``node_keys``.
+        ``s`` (for leaves: simply the s-th covered key).  Slots past the
+        data read the column's last key, so node keys are nondecreasing
+        and the keys <= a probe form a prefix of the node.  The count is
+        found in a fixed number of trips, ``node_keys.bit_length()``:
+        each trip tries to extend the prefix by the next smaller power of
+        two, gathering one key per lane at a slot clamped into the node,
+        with no per-lane mask.  A trip past the node's end only succeeds
+        when every slot is <= the probe, so clamping the final count to
+        ``node_keys`` makes the fixed-step search exact for any
+        ``node_keys``.
 
         ``strict=True`` counts keys strictly below the probe instead --
         the leaf-level variant the lower bound needs.
+
+        Past-the-data slots differ from a MAX-padded node only for probes
+        >= the column's last key, which the descent routes to the last
+        node of every level either way (child indexes clamp to the
+        level's size, positions to ``len(column)``).
         """
         child_coverage = (
             self.level_coverage[level + 1]
             if level + 1 < len(self.level_sizes)
             else 1
         )
-        n = len(self.column)
-        node_first = nodes * self.node_keys
-        lo = np.zeros(len(nodes), dtype=np.int64)
-        hi = np.full(len(nodes), self.node_keys, dtype=np.int64)
-        active = lo < hi
-        while active.any():
-            mid = (lo + hi) >> 1
-            positions = (node_first + mid) * child_coverage
-            exists = active & (positions < n)
-            slot_keys = self.column.key_at(np.where(exists, positions, 0))
-            mid_keys = np.where(exists, slot_keys, _MAX_KEY)
-            if strict:
-                go_right = active & (mid_keys < keys)
-            else:
-                go_right = active & (mid_keys <= keys)
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(active & ~go_right, mid, hi)
-            active = lo < hi
-        return lo
+        last = len(self.column) - 1
+        compare = np.less if strict else np.less_equal
+        # The last key of a ``c``-slot prefix sits at column position
+        # ``(first + c) * child_coverage``.
+        first = nodes * self.node_keys - 1
+        count = np.zeros(len(nodes), dtype=np.int64)
+        position = np.empty(len(nodes), dtype=np.int64)
+        step = 1 << (self.node_keys.bit_length() - 1)
+        while step:
+            np.add(count, step, out=position)
+            np.minimum(position, self.node_keys, out=position)
+            position += first
+            position *= child_coverage
+            np.minimum(position, last, out=position)
+            count += compare(self.column.key_at(position), keys) * step
+            step >>= 1
+        return np.minimum(count, self.node_keys, out=count)
 
     # ------------------------------------------------------------------
     # Descent.

@@ -47,7 +47,7 @@ from ..errors import ConfigurationError, SimulationError
 from ..hardware.memory import MemorySpace, SystemMemory
 from ..perf.analytic import level_sweep_pages
 from ..units import KEY_BYTES
-from .base import Index, TraceRecorder
+from .base import Index, TraceRecorder, bisect
 from .domain import clamped_int64
 
 #: Bytes per spline point: 8 B key + 8 B position.
@@ -310,21 +310,14 @@ class RadixSplineIndex(Index):
         block = np.searchsorted(coarse_prefixes, slots, side="left")
         hi = np.minimum(block * coarse, num_points)
         lo = np.maximum((block - 1) * coarse + 1, 0)
-        active = lo < hi
-        while active.any():
-            mid = (lo + hi) >> 1
-            prefix = (
-                (
-                    self._spline_key_at(np.where(active, mid, 0))
-                    - np.uint64(min_key)
-                )
+
+        def prefix_at(indices):
+            return (
+                (self._spline_key_at(indices) - np.uint64(min_key))
                 >> np.uint64(self._shift)
             ).astype(np.int64)
-            go_left = active & (prefix >= slots)
-            hi = np.where(go_left, mid, hi)
-            lo = np.where(active & ~go_left, mid + 1, lo)
-            active = lo < hi
-        self.radix_table = lo.astype(np.int64)
+
+        self.radix_table, _ = bisect(lo, hi, slots, prefix_at)
 
     @property
     def num_spline_points(self) -> int:
@@ -397,24 +390,15 @@ class RadixSplineIndex(Index):
         )
         # 2. Binary search the partition's spline points for the first
         #    point with key >= probe (the upper interpolation point).
-        lo = seg_lo.astype(np.int64)
-        hi = seg_hi.astype(np.int64)
-        active = lo < hi
-        spline_rounds = 0
-        while active.any():
-            spline_rounds += 1
-            mid = (lo + hi) >> 1
-            if recorder is not None:
-                recorder.record(
-                    self._spline_allocation.base + mid * _SPLINE_POINT_BYTES,
-                    active=active,
-                )
-            mid_keys = self._spline_key_at(np.where(active, mid, 0))
-            go_right = active & (mid_keys < keys)
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(active & ~go_right, mid, hi)
-            active = lo < hi
-        upper = np.clip(lo, 1, self.num_spline_points - 1)
+        record = None
+        if recorder is not None:
+            record = recorder.strided(
+                self._spline_allocation.base, _SPLINE_POINT_BYTES
+            )
+        first_above, spline_rounds = bisect(
+            seg_lo, seg_hi, keys, self._spline_key_at, record=record
+        )
+        upper = np.clip(first_above, 1, self.num_spline_points - 1)
         lower = upper - 1
         if recorder is not None:
             # Fetch the two surrounding points (often one cacheline).
@@ -472,37 +456,16 @@ class RadixSplineIndex(Index):
         # 4. Bounded binary search of the data.
         search_lo = np.maximum(estimate - margin, 0)
         search_hi = np.minimum(estimate + margin + 1, n)
-        base = (
-            self.relation.allocation.base
-            if recorder is not None and self.relation.allocation is not None
-            else 0
+        lower, data_rounds = self._bisect_column(
+            search_lo, search_hi, keys, recorder
         )
-        active = search_lo < search_hi
-        data_rounds = 0
-        while active.any():
-            data_rounds += 1
-            mid = (search_lo + search_hi) >> 1
-            if recorder is not None:
-                recorder.record(base + mid * KEY_BYTES, active=active)
-            mid_keys = self.column.key_at(np.where(active, mid, 0))
-            go_right = active & (mid_keys < keys)
-            search_lo = np.where(go_right, mid + 1, search_lo)
-            search_hi = np.where(active & ~go_right, mid, search_hi)
-            active = search_lo < search_hi
         if obs.enabled():
             obs.add(
                 "index.data_search_rounds",
                 float(data_rounds),
                 index=self.name,
             )
-        if recorder is not None:
-            # Verification read of the candidate match.
-            in_range = search_lo < n
-            recorder.record(
-                base + np.where(in_range, search_lo, 0) * KEY_BYTES,
-                active=in_range,
-            )
-        return search_lo
+        return lower
 
     def _find(
         self, keys: np.ndarray, recorder: Optional[TraceRecorder]

@@ -192,3 +192,44 @@ def test_virtual_column_properties(num_keys, stride, offset, seed):
     assert np.array_equal(column.rank_of(keys), positions)
     hints = column.lower_bound_hint(keys)
     assert np.all(np.abs(hints - positions) <= column.hint_error_bound())
+
+
+def splitmix64_reference(values: np.ndarray) -> np.ndarray:
+    """splitmix64 in plain expression form, one temporary per step."""
+    z = values.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    stride=st.integers(min_value=1, max_value=2**20),
+    offset=st.integers(min_value=0, max_value=2**40),
+    seed=st.integers(min_value=0, max_value=2**63),
+    position_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_virtual_keys_match_formula_reference(
+    stride, offset, seed, position_seed
+):
+    """The in-place key computation equals the documented formula bit for
+    bit: key(i) = offset + i*stride + splitmix64(i ^ seed_mix) mod g."""
+    num_keys = (2**62 - offset) // stride
+    column = VirtualSortedColumn(
+        num_keys, stride=stride, offset=offset, seed=seed
+    )
+    rng = np.random.default_rng(position_seed)
+    positions = np.concatenate(
+        [[0, num_keys - 1], rng.integers(0, num_keys, size=1000)]
+    ).astype(np.int64)
+    noise_mod = max(1, stride - 1)
+    seed_mix = np.uint64((seed * 0x5851F42D4C957F2D) % 2**64)
+    noise = splitmix64_reference(positions.astype(np.uint64) ^ seed_mix) % (
+        np.uint64(noise_mod)
+    )
+    expected = (
+        np.uint64(offset)
+        + positions.astype(np.uint64) * np.uint64(stride)
+        + noise
+    )
+    np.testing.assert_array_equal(column.key_at(positions), expected)
