@@ -10,7 +10,8 @@ ways:
 * ``trace_lookups(keys)`` runs the same descent with a
   :class:`TraceRecorder`, capturing the byte address of every memory
   access so the machine model can replay it;
-* ``probe_range_batch`` runs it twice, once per span bound.
+* ``probe_range_batch`` runs it once, for the span starts, and gallops
+  each span's end over the column from its start.
 
 Every bisection inside a descent -- over the column, node slots or
 spline points -- is one :func:`bisect` call, so the round structure
@@ -360,20 +361,51 @@ class Index(abc.ABC):
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Per-key [start, end) span of column keys in ``[lo, hi]``.
 
-        ``start`` is the lower bound of ``lo``; ``end`` is the upper
-        bound of ``hi`` (its lower bound plus an equality bump, exact
-        because column keys are unique).  Inverted inputs (``lo > hi``)
-        produce the empty span ``[start, start)``.
+        ``start`` is the lower bound of ``lo`` -- the batch's one index
+        descent.  ``end``, the first position at or after ``start`` whose
+        key exceeds ``hi``, lies a span away from ``start``, so it is
+        galloped from there instead of descended to: read the column at
+        ``start + 2**k - 1`` for k = 0, 1, 2, ... while the key is
+        ``<= hi``, then bisect the last bracket.  A span of ``s`` keys
+        costs about ``2 * log2(s + 1) + 1`` column reads.  Inverted
+        inputs (``lo > hi``) stop at the first read and produce the
+        empty span ``[start, start)``.
+        """
+        starts = self._lower_bound(lo)
+        return starts, self._gallop_ends(starts, hi)
+
+    def _gallop_ends(self, starts: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """First position ``>= starts`` whose key is ``> hi``, per lane.
+
+        Round ``k`` reads ``start + 2**k - 1`` (clamped into the column;
+        reads past it count as above ``hi``) for the lanes still going.
+        A lane that stops at round ``k`` has its end in the bracket
+        ``[start + 2**k // 2, start + 2**k - 1)``, cut at ``n``, which
+        one upper-bound :func:`bisect` settles.
         """
         n = len(self.column)
-        starts = self._lower_bound(lo)
-        ends = self._lower_bound(hi)
-        in_range = ends < n
-        safe = np.where(in_range, ends, 0)
-        ends = ends + (in_range & (self.column.key_at(safe) == hi)).astype(
-            np.int64
-        )
-        return starts, np.maximum(ends, starts)
+        key_at = self.column.key_at
+        stop_round = np.zeros(len(starts), dtype=np.int64)
+        lanes = np.arange(len(starts))
+        probes, bounds = starts, hi
+        k = 0
+        while len(lanes):
+            going = key_at(np.minimum(probes, n - 1)) <= bounds
+            going &= probes < n
+            k += 1
+            lanes = lanes[going]
+            stop_round[lanes] = k
+            probes = probes[going] + (1 << (k - 1))
+            bounds = bounds[going]
+        step = 1 << stop_round
+        bottom = starts + (step >> 1)
+        top = np.minimum(starts + (step - 1), n)
+        wide = np.flatnonzero(bottom < top)
+        if len(wide):
+            bottom[wide], _ = bisect(
+                bottom[wide], top[wide], hi[wide], key_at, strict=False
+            )
+        return bottom
 
     def probe_range_batch(
         self,
@@ -389,8 +421,9 @@ class Index(abc.ABC):
         of column positions whose keys fall in ``[lo[i], hi[i]]`` into
         ``out_start[offset : offset + count]`` /
         ``out_end[offset : offset + count]``, and returns the batch's
-        structural :class:`PerfCounters` delta (two lower-bound descents
-        per pair, so twice :meth:`probe_batch`'s access count).
+        structural :class:`PerfCounters` delta (see
+        :meth:`_range_batch_counters`).  The batch runs one lower-bound
+        descent and gallops the ends (:meth:`_range_bounds`).
         """
         lo = np.asarray(lo, dtype=KEY_DTYPE)
         hi = np.asarray(hi, dtype=KEY_DTYPE)
@@ -427,8 +460,11 @@ class Index(abc.ABC):
     def _range_batch_counters(self, count: int) -> PerfCounters:
         """Structural counter delta for ``count`` range probes.
 
-        A range probe runs two lower-bound descents (lo and hi) and
-        writes two int64 span endpoints per pair.
+        Priced as two lower-bound descents (lo and hi), twice
+        :meth:`probe_batch`'s access count, plus two int64 span endpoints
+        per pair.  Like every structural counter this is a function of
+        batch size and height only, not of the functional path, which
+        descends once and gallops the ends.
         """
         return PerfCounters(
             lookups=float(count),

@@ -54,6 +54,11 @@ from .domain import clamped_int64
 _SPLINE_POINT_BYTES = 16
 
 
+#: Positions per corridor chunk after each spline point; the chunk
+#: doubles while the corridor holds.
+_CORRIDOR_CHUNK = 256
+
+
 def greedy_spline_corridor(
     keys: np.ndarray, max_error: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -63,6 +68,14 @@ def greedy_spline_corridor(
     emits a new point whenever the next key's +-max_error corridor no
     longer intersects the running one.  Returns (spline_keys,
     spline_positions), always including the first and last key.
+
+    The scan runs over chunks of ``_CORRIDOR_CHUNK`` positions, doubling
+    while the corridor holds: a chunk's candidate slopes come from the
+    anchor in one pass, their running max/min (seeded with the corridor
+    carried in) is the corridor after each position, and the first
+    position where it empties is the collapse.  Every candidate is the
+    same float expression the one-key-at-a-time loop evaluates, and
+    max/min are exact, so the points are those of that loop.
     """
     if max_error < 1:
         raise ConfigurationError(f"max_error must be >= 1, got {max_error}")
@@ -72,42 +85,45 @@ def greedy_spline_corridor(
     if n <= 2:
         positions = np.arange(n, dtype=np.int64)
         return keys.copy(), positions
-    point_keys = [int(keys[0])]
+    keys = np.asarray(keys, dtype=KEY_DTYPE)
+    if (keys[1:] <= keys[:-1]).any():
+        raise ConfigurationError("keys must be strictly increasing")
     point_positions = [0]
-    # Key deltas are computed in exact integer arithmetic: float64 has a
-    # 53-bit mantissa, so ``float(key) - float(anchor)`` rounds to zero
-    # for adjacent keys above ~2^53 and would reject a valid column.
-    anchor_key = int(keys[0])
-    anchor_pos = 0.0
+    anchor = 0
     slope_low = -math.inf
     slope_high = math.inf
-    for position in range(1, n):  # repro: noqa[PERF001] -- one-pass greedy spline build, build-time only
-        key = int(keys[position])
-        dx = float(key - anchor_key)
-        if dx <= 0:
-            raise ConfigurationError("keys must be strictly increasing")
-        candidate_low = (position - max_error - anchor_pos) / dx
-        candidate_high = (position + max_error - anchor_pos) / dx
-        if candidate_low > slope_high or candidate_high < slope_low:
-            # Corridor collapsed: the previous key becomes a spline point.
-            previous = position - 1
-            point_keys.append(int(keys[previous]))
-            point_positions.append(previous)
-            anchor_key = int(keys[previous])
-            anchor_pos = float(previous)
-            dx = float(key - anchor_key)
-            slope_low = (position - max_error - anchor_pos) / dx
-            slope_high = (position + max_error - anchor_pos) / dx
-        else:
-            slope_low = max(slope_low, candidate_low)
-            slope_high = min(slope_high, candidate_high)
+    start = 1
+    size = _CORRIDOR_CHUNK
+    while start < n:
+        stop = min(start + size, n)
+        positions = np.arange(start, stop, dtype=np.int64)
+        # Key deltas are exact in uint64 before the float conversion:
+        # float64 keys would round adjacent keys above ~2^53 together.
+        dx = (keys[start:stop] - keys[anchor]).astype(np.float64)
+        low = ((positions - max_error).astype(np.float64) - anchor) / dx
+        high = ((positions + max_error).astype(np.float64) - anchor) / dx
+        low[0] = max(slope_low, low[0])
+        high[0] = min(slope_high, high[0])
+        np.maximum.accumulate(low, out=low)
+        np.minimum.accumulate(high, out=high)
+        collapsed = np.flatnonzero(low > high)
+        if len(collapsed) == 0:
+            slope_low, slope_high = low[-1], high[-1]
+            start = stop
+            size *= 2
+            continue
+        # The key before the first collapse becomes a spline point and
+        # the corridor restarts from it at the collapsing key.
+        start += int(collapsed[0])
+        anchor = start - 1
+        point_positions.append(anchor)
+        slope_low = -math.inf
+        slope_high = math.inf
+        size = _CORRIDOR_CHUNK
     if point_positions[-1] != n - 1:
-        point_keys.append(int(keys[n - 1]))
         point_positions.append(n - 1)
-    return (
-        np.asarray(point_keys, dtype=KEY_DTYPE),
-        np.asarray(point_positions, dtype=np.int64),
-    )
+    spline_positions = np.asarray(point_positions, dtype=np.int64)
+    return keys[spline_positions], spline_positions
 
 
 def measure_spline_error(
@@ -399,7 +415,8 @@ class RadixSplineIndex(Index):
             seg_lo, seg_hi, keys, self._spline_key_at, record=record
         )
         upper = np.clip(first_above, 1, self.num_spline_points - 1)
-        lower = upper - 1
+        # A one-key implicit spline has a single point: upper == 0.
+        lower = np.maximum(upper - 1, 0)
         if recorder is not None:
             # Fetch the two surrounding points (often one cacheline).
             recorder.record(

@@ -1,16 +1,22 @@
 """RadixSpline specifics, including the GreedySplineCorridor builder."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data.column import MaterializedColumn, VirtualSortedColumn
 from repro.errors import ConfigurationError
+from repro.indexes import radix_spline
 from repro.indexes.radix_spline import (
     RadixSplineIndex,
     greedy_spline_corridor,
     uniform_spline,
 )
+
+from .test_differential import relation_keys
 
 
 def interpolation_error(keys, point_keys, point_positions):
@@ -30,6 +36,38 @@ def interpolation_error(keys, point_keys, point_positions):
         pos_high - pos_low
     )
     return float(np.abs(predicted - positions).max())
+
+
+def scalar_spline_corridor(keys, max_error):
+    """Reference: the corridor walked one key at a time, as published."""
+    n = len(keys)
+    if n <= 2:
+        return keys.copy(), np.arange(n, dtype=np.int64)
+    point_positions = [0]
+    anchor_key = int(keys[0])
+    anchor_pos = 0.0
+    slope_low = -math.inf
+    slope_high = math.inf
+    for position in range(1, n):
+        key = int(keys[position])
+        dx = float(key - anchor_key)
+        candidate_low = (position - max_error - anchor_pos) / dx
+        candidate_high = (position + max_error - anchor_pos) / dx
+        if candidate_low > slope_high or candidate_high < slope_low:
+            previous = position - 1
+            point_positions.append(previous)
+            anchor_key = int(keys[previous])
+            anchor_pos = float(previous)
+            dx = float(key - anchor_key)
+            slope_low = (position - max_error - anchor_pos) / dx
+            slope_high = (position + max_error - anchor_pos) / dx
+        else:
+            slope_low = max(slope_low, candidate_low)
+            slope_high = min(slope_high, candidate_high)
+    if point_positions[-1] != n - 1:
+        point_positions.append(n - 1)
+    positions = np.asarray(point_positions, dtype=np.int64)
+    return keys[positions], positions
 
 
 class TestGreedySplineCorridor:
@@ -80,6 +118,47 @@ class TestGreedySplineCorridor:
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             greedy_spline_corridor(np.array([], dtype=np.uint64), 4)
+
+    @pytest.mark.parametrize(
+        "keys", [[1, 2, 2, 5], [3, 9, 7, 12], [10, 4, 20]]
+    )
+    def test_rejects_unsorted(self, keys):
+        """Any non-increasing neighbour pair is rejected, also one the
+        corridor's anchor-relative deltas would not see (9 > 7 > 3)."""
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            greedy_spline_corridor(np.asarray(keys, dtype=np.uint64), 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        keys=relation_keys(),
+        max_error=st.integers(min_value=1, max_value=64),
+        chunk=st.integers(min_value=1, max_value=50),
+    )
+    def test_matches_scalar_corridor(self, keys, max_error, chunk):
+        """Chunked scan == one-key-at-a-time loop, bit for bit; tiny
+        chunks carry the corridor across many chunk boundaries."""
+        want_keys, want_positions = scalar_spline_corridor(keys, max_error)
+        with mock.patch.object(radix_spline, "_CORRIDOR_CHUNK", chunk):
+            got_keys, got_positions = greedy_spline_corridor(keys, max_error)
+        np.testing.assert_array_equal(got_positions, want_positions)
+        np.testing.assert_array_equal(got_keys, want_keys)
+        assert got_keys.dtype == np.uint64
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 256])
+    def test_random_walk_matches_scalar_corridor(self, rng, chunk):
+        """A random-walk CDF collapses the corridor every ~max_error**2
+        keys, so segments straddle chunk boundaries at every size."""
+        gaps = rng.integers(1, 100, size=6000).astype(np.uint64)
+        keys = np.cumsum(gaps).astype(np.uint64)
+        for max_error in (1, 4, 16):
+            want_keys, want_positions = scalar_spline_corridor(keys, max_error)
+            with mock.patch.object(radix_spline, "_CORRIDOR_CHUNK", chunk):
+                got_keys, got_positions = greedy_spline_corridor(
+                    keys, max_error
+                )
+            assert len(want_positions) > 2
+            np.testing.assert_array_equal(got_positions, want_positions)
+            np.testing.assert_array_equal(got_keys, want_keys)
 
 
 class TestUniformSpline:
@@ -242,6 +321,21 @@ class TestLargeKeyRegressions:
         np.testing.assert_array_equal(
             index.lookup(probes), self._oracle(keys, probes)
         )
+
+    def test_regression_single_key_virtual_column(self):
+        """A one-key implicit spline used to read spline point -1.
+
+        With a single spline point the interpolation pair clamps to
+        ``upper == 0``, and ``lower = upper - 1`` gathered the column at
+        a negative position, which a virtual column rejects.  The lower
+        point now clamps to 0 as well.
+        """
+        from repro.data.relation import Relation
+
+        column = VirtualSortedColumn(num_keys=1, stride=1)
+        index = RadixSplineIndex(Relation(name="R", column=column))
+        probes = np.asarray([0, 1, 2**64 - 1], dtype=np.uint64)
+        np.testing.assert_array_equal(index.lookup(probes), [0, -1, -1])
 
     def test_regression_out_of_domain_probe_overflow(self):
         """A probe far above the domain used to overflow the int cast.

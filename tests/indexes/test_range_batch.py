@@ -4,8 +4,13 @@
 regimes of tests/indexes/test_differential.py:
 
 * per-key [start, end) spans over the sorted base, and the lower-bound
-  descent behind them, match ``searchsorted``;
-* structural :class:`PerfCounters`: two lower-bound descents and two
+  descent behind them, match ``searchsorted`` -- on materialized and
+  virtual columns, including the gallop's edges (spans reaching ``n``,
+  ``start == n``, bands wider than the key span or saturated at the
+  domain ends, inverted bounds);
+* one lower-bound descent per batch: each span's end is galloped from
+  its start, not descended to;
+* structural :class:`PerfCounters`: ``2 * height`` accesses and two
   int64 span endpoints per pair, a pure function of batch size and
   height.
 """
@@ -23,7 +28,7 @@ from repro.data.relation import Relation  # noqa: E402
 from repro.errors import SimulationError  # noqa: E402
 from repro.indexes.domain import saturating_band  # noqa: E402
 
-from .test_differential import INDEX_TYPES, workloads  # noqa: E402
+from .test_differential import INDEX_TYPES, MAX_KEY, workloads  # noqa: E402
 
 EPSILONS = st.one_of(
     st.integers(min_value=0, max_value=8),
@@ -171,3 +176,112 @@ def test_virtual_column_spans_match_oracle():
         want_start, want_end = oracle_range(keys, lo, hi)
         np.testing.assert_array_equal(starts, want_start)
         np.testing.assert_array_equal(ends, want_end)
+
+
+def edge_bounds(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """(lo, hi) pairs at the gallop's edges over sorted ``keys``."""
+    n = len(keys)
+    first, last, middle = int(keys[0]), int(keys[-1]), int(keys[n // 2])
+    pairs = [
+        (0, MAX_KEY),  # wider than the whole key span: [0, n)
+        (first, last),  # exactly the whole column
+        (middle, MAX_KEY),  # saturated at the top: ends at n
+        (middle, last),  # ends at n on the last key
+        (last, last),  # the last key alone
+        (min(last + 1, MAX_KEY), MAX_KEY),  # start == n unless last is MAX
+        (MAX_KEY, MAX_KEY),
+        (0, 0),  # saturated at the bottom
+        (0, first),
+        (0, middle),
+        (first, first),
+        (last, first),  # inverted
+        (middle, first),  # inverted
+        (MAX_KEY, 0),  # inverted across the whole domain
+    ]
+    lo = np.asarray([pair[0] for pair in pairs], dtype=np.uint64)
+    hi = np.asarray([pair[1] for pair in pairs], dtype=np.uint64)
+    return lo, hi
+
+
+def assert_spans_match(index, keys, lo, hi):
+    starts = np.empty(len(lo), dtype=np.int64)
+    ends = np.empty(len(lo), dtype=np.int64)
+    index.probe_range_batch(lo, hi, starts, ends)
+    want_start, want_end = oracle_range(keys, lo, hi)
+    np.testing.assert_array_equal(
+        starts, want_start, err_msg=f"{index.name} span starts diverge"
+    )
+    np.testing.assert_array_equal(
+        ends, want_end, err_msg=f"{index.name} span ends diverge"
+    )
+
+
+def edge_columns():
+    """A materialized column holding both domain ends, and a virtual one
+    tall enough for multi-level trees."""
+    rng = np.random.default_rng(5)
+    inner = rng.integers(1, MAX_KEY, size=3000, dtype=np.uint64)
+    keys = np.unique(
+        np.concatenate([inner, np.asarray([0, MAX_KEY], dtype=np.uint64)])
+    )
+    virtual = VirtualSortedColumn(num_keys=70_000, stride=7, offset=5, seed=3)
+    return [MaterializedColumn(keys), virtual]
+
+
+@pytest.mark.parametrize("index_cls", INDEX_TYPES)
+@pytest.mark.parametrize("column", edge_columns(), ids=["materialized", "virtual"])
+def test_edge_spans_match_oracle(index_cls, column):
+    keys = column.key_at(np.arange(len(column)))
+    index = index_cls(Relation(name="R", column=column))
+    lo, hi = edge_bounds(keys)
+    assert_spans_match(index, keys, lo, hi)
+
+
+@pytest.mark.parametrize("index_cls", INDEX_TYPES)
+@given(
+    num_keys=st.integers(min_value=1, max_value=5000),
+    stride=st.integers(min_value=1, max_value=64),
+    seed=st.integers(min_value=0, max_value=2**16),
+    widths=st.lists(
+        st.one_of(
+            st.integers(min_value=-64, max_value=64),
+            st.integers(min_value=-(2**20), max_value=2**20),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=20)
+def test_virtual_spans_match_oracle(index_cls, num_keys, stride, seed, widths):
+    """Random (possibly inverted) bands over implicit columns, whose
+    ``key_at`` rejects any position outside the column."""
+    column = VirtualSortedColumn(num_keys=num_keys, stride=stride, seed=seed)
+    keys = column.key_at(np.arange(num_keys))
+    rng = np.random.default_rng(seed)
+    top = int(keys[-1]) + 2 * stride
+    lo = rng.integers(0, top, size=len(widths), dtype=np.int64)
+    hi = np.clip(lo + np.asarray(widths, dtype=np.int64), 0, None)
+    index = index_cls(Relation(name="R", column=column))
+    assert_spans_match(
+        index, keys, lo.astype(np.uint64), hi.astype(np.uint64)
+    )
+
+
+@pytest.mark.parametrize("index_cls", INDEX_TYPES)
+def test_one_descent_per_batch(index_cls, monkeypatch):
+    """A range batch runs the index descent once, for the lower bounds;
+    every end is galloped over the column from its start."""
+    keys = np.arange(7, 60_000, 3, dtype=np.uint64)
+    index = build_index(index_cls, keys)
+    descend = index._lower_bound
+    calls = []
+
+    def spy(probes, recorder=None):
+        calls.append(len(probes))
+        return descend(probes, recorder)
+
+    monkeypatch.setattr(index, "_lower_bound", spy)
+    probes = keys[::97]
+    lo, hi = band_bounds(probes, 30)
+    assert_spans_match(index, keys, lo, hi)
+    assert calls == [len(probes)]
