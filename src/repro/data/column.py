@@ -15,13 +15,24 @@ guaranteed non-matching probe keys.  Crucially the rank of any member key is
 recoverable in O(1) (``(key - offset) // stride``), so membership tests and
 reference join results stay exact at any scale.
 
+Because ``key(i)`` lies in ``[offset + i*stride, offset + i*stride +
+stride - 2]``, a probe ``k`` with ``c = (k - offset) // stride`` is above
+every key before ``c`` and below every key after it: both of its
+``searchsorted`` bounds cost one hash, of ``key(c)``.  Index descents use
+that through :meth:`Column.comparands`: per probe batch a column hands
+out what to compare instead of keys.  A materialized column hands out its
+keys and the probes themselves; a virtual column hands out positions and
+the probes' bounds, so a descent over it compares integers and hashes
+nothing -- with every comparison's truth value, and so every round,
+midpoint and recorded address, unchanged.
+
 Both column kinds expose the same interface; index code never branches on
 the concrete type.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -32,6 +43,40 @@ from ..units import KEY_BYTES
 KEY_DTYPE = np.uint64
 
 ArrayLike = Union[np.ndarray, int]
+
+#: The largest key; also the comparand of a node slot past the data.
+MAX_KEY = np.uint64(np.iinfo(np.uint64).max)
+
+#: The past-the-data comparand of a virtual column, whose comparands are
+#: int64 positions.
+_MAX_POSITION = np.int64(np.iinfo(np.int64).max)
+
+
+class Comparands(NamedTuple):
+    """What a descent compares in place of keys, for one probe batch.
+
+    For every column position ``i`` and probe ``k``:
+
+    * ``key_at(i) < below`` iff ``key(i) < k``;
+    * ``key_at(i) <= at_or_below`` iff ``key(i) <= k``;
+    * ``past`` stands for a slot past the data (a padded node entry, a
+      separator of a child beyond the data), which compares like the
+      largest key: above every probe, and ``<= at_or_below`` only for
+      the probe ``2**64 - 1``.
+
+    ``key_at`` may hand back its argument itself (a virtual column's
+    comparand of a position is the position).
+    """
+
+    key_at: Callable[[np.ndarray], np.ndarray]
+    below: np.ndarray
+    at_or_below: np.ndarray
+    past: np.generic
+
+
+def _positions(positions: np.ndarray) -> np.ndarray:
+    """A virtual column's comparand of a position: the position itself."""
+    return positions
 
 
 def _splitmix64(values: np.ndarray) -> np.ndarray:
@@ -102,35 +147,19 @@ class Column:
         ``side="left"`` returns the first position whose key is ``>=``
         each probe (the lower bound); ``side="right"`` the first whose
         key is ``>`` it.  Both return ``len(self)`` when no such
-        position exists.  The generic implementation bisects through
-        :meth:`key_at` in O(log n) vectorized rounds so it works for
-        virtual columns too; materialized columns override it with a
-        direct ``searchsorted``.  This is the ground-truth primitive the
+        position exists.  This is the ground-truth primitive the
         non-equi join oracles are built on.
         """
-        if side not in ("left", "right"):
-            raise ConfigurationError(
-                f"side must be 'left' or 'right', got {side!r}"
-            )
-        keys = np.atleast_1d(np.asarray(keys, dtype=KEY_DTYPE))
-        n = len(self)
-        lo = np.zeros(len(keys), dtype=np.int64)
-        hi = np.full(len(keys), n, dtype=np.int64)
-        while True:
-            active = lo < hi
-            if not active.any():
-                break
-            mid = (lo + hi) >> 1
-            # mid < n whenever active, so the masked read never leaves
-            # the column.
-            mid_keys = self.key_at(np.where(active, mid, 0))
-            if side == "left":
-                go_right = active & (mid_keys < keys)
-            else:
-                go_right = active & (mid_keys <= keys)
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(active & ~go_right, mid, hi)
-        return lo
+        raise NotImplementedError
+
+    def comparands(self, keys: ArrayLike) -> Comparands:
+        """What index descents compare for the probes ``keys``.
+
+        See :class:`Comparands`.  Every probe comparison of a descent
+        goes through it, so a column whose keys are costly to derive can
+        answer comparisons without deriving them.
+        """
+        raise NotImplementedError
 
     @property
     def min_key(self) -> int:
@@ -219,6 +248,10 @@ class MaterializedColumn(Column):
         keys = np.atleast_1d(np.asarray(keys, dtype=KEY_DTYPE))
         return np.searchsorted(self._keys, keys, side=side).astype(np.int64)
 
+    def comparands(self, keys: ArrayLike) -> Comparands:
+        keys = np.asarray(keys, dtype=KEY_DTYPE)
+        return Comparands(self.key_at, keys, keys, MAX_KEY)
+
     @property
     def min_gap(self) -> int:
         return self._min_gap
@@ -285,19 +318,52 @@ class VirtualSortedColumn(Column):
         keys += noise
         return keys
 
-    def rank_of(self, keys: ArrayLike) -> np.ndarray:
+    def _bounds(self, keys: ArrayLike) -> "tuple[np.ndarray, np.ndarray]":
+        """Lower and upper ``searchsorted`` bounds of each probe, in O(1).
+
+        ``key(i)`` lies in ``[offset + i*stride, offset + i*stride +
+        stride - 2]`` (exactly ``offset + i*stride`` for stride <= 2), so
+        for ``c = (k - offset) // stride`` every position before ``c``
+        holds a key below ``k`` and every position after it a key above
+        ``k``: only ``key(c)`` decides, with ``c`` clamped into the column
+        (a probe below the offset or past the last key then settles on
+        0 or ``n``).
+        """
         keys = np.atleast_1d(np.asarray(keys, dtype=KEY_DTYPE))
-        shifted = keys.astype(np.int64) - np.int64(self.offset)
-        candidates = shifted // np.int64(self.stride)
-        valid = (candidates >= 0) & (candidates < self.num_keys) & (shifted >= 0)
-        result = np.full(len(keys), -1, dtype=np.int64)
-        if valid.any():
-            cand_valid = candidates[valid]
-            actual = self.key_at(cand_valid)
-            matches = actual == keys[valid]
-            matched_positions = np.where(matches, cand_valid, -1)
-            result[valid] = matched_positions
-        return result
+        candidate = np.maximum(keys, np.uint64(self.offset))
+        candidate -= np.uint64(self.offset)
+        candidate //= np.uint64(self.stride)
+        np.minimum(candidate, np.uint64(self.num_keys - 1), out=candidate)
+        candidate = candidate.astype(np.int64)
+        key = self.key_at(candidate)
+        return candidate + (key < keys), candidate + (key <= keys)
+
+    def bound_positions(self, keys: ArrayLike, side: str = "left") -> np.ndarray:
+        if side not in ("left", "right"):
+            raise ConfigurationError(
+                f"side must be 'left' or 'right', got {side!r}"
+            )
+        lower, upper = self._bounds(keys)
+        return lower if side == "left" else upper
+
+    def comparands(self, keys: ArrayLike) -> Comparands:
+        """Positions against the probes' bounds: ``i < lower`` iff
+        ``key(i) < k`` and ``i <= upper - 1`` iff ``key(i) <= k``.
+
+        The probe ``2**64 - 1`` is at or above every slot, ``past``
+        included, so its ``at_or_below`` is ``past`` itself.
+        """
+        keys = np.atleast_1d(np.asarray(keys, dtype=KEY_DTYPE))
+        lower, upper = self._bounds(keys)
+        upper -= 1
+        upper[keys == MAX_KEY] = _MAX_POSITION
+        return Comparands(_positions, lower, upper, _MAX_POSITION)
+
+    def rank_of(self, keys: ArrayLike) -> np.ndarray:
+        # A key is a member iff its bounds differ; its rank is then the
+        # lower one.
+        lower, upper = self._bounds(keys)
+        return np.where(upper > lower, lower, np.int64(-1))
 
     def lower_bound_hint(self, keys: ArrayLike) -> np.ndarray:
         keys = np.atleast_1d(np.asarray(keys, dtype=KEY_DTYPE))

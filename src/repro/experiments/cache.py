@@ -1,10 +1,10 @@
-"""Session-scoped environment and point-result cache for sweeps.
+"""Session-scoped environment, point and probe-sample cache for sweeps.
 
 The benchmark harness and the experiment runner evaluate many sweep
 points that share expensive setup: the same (R size, index) environment
 is rebuilt by Figs. 3/4/6, the skew sweep rebuilds one 100 GiB index per
 Zipf exponent, and the ablations rebuild identical environments back to
-back.  This module memoizes two layers:
+back.  This module memoizes three layers:
 
 * **environments** -- :func:`environment` returns one shared
   :class:`~repro.join.base.QueryEnvironment` per (spec, workload, index,
@@ -17,6 +17,13 @@ back.  This module memoizes two layers:
   :class:`~repro.perf.model.QueryCost`) under a caller-provided key.
   Values are deep-copied in and out, so callers may mutate what they
   get back.
+* **samples** -- every environment of a session shares one probe-sample
+  memo (:meth:`~repro.join.base.QueryEnvironment.probe_sample`), so the
+  operators of one sweep point draw its sample once whatever their
+  index: a Zipf window sample (up to 2^24 draws) is drawn once per
+  exponent, not once per index.  A sample is a pure function of the
+  workload (which fixes the column), the window and the count, and its
+  arrays are read-only.
 
 Caching is **disabled by default** so unit tests and ad-hoc scripts keep
 building independent objects; the runner, the benchmark harness, and
@@ -41,6 +48,7 @@ from ..join.base import QueryEnvironment
 _enabled = False
 _environments: dict = {}
 _points: dict = {}
+_samples: dict = {}
 _hits = {"environments": 0, "points": 0}
 
 
@@ -55,9 +63,11 @@ def is_enabled() -> bool:
 
 
 def clear() -> None:
-    """Drop all cached environments and points, and reset hit counters."""
+    """Drop all cached environments, points and samples, and reset hit
+    counters."""
     _environments.clear()
     _points.clear()
+    _samples.clear()
     _hits["environments"] = 0
     _hits["points"] = 0
 
@@ -68,6 +78,7 @@ def stats() -> dict:
         "enabled": _enabled,
         "environments": len(_environments),
         "points": len(_points),
+        "samples": len(_samples),
         "environment_hits": _hits["environments"],
         "point_hits": _hits["points"],
     }
@@ -128,10 +139,10 @@ def environment(
     if sim is None:
         sim = SimulationConfig()
 
-    def build() -> QueryEnvironment:
+    def build(samples: Optional[dict] = None) -> QueryEnvironment:
         return QueryEnvironment(
             spec, workload, index_cls=index_cls, sim=sim,
-            index_kwargs=index_kwargs,
+            index_kwargs=index_kwargs, samples=samples,
         )
 
     if not _enabled:
@@ -151,7 +162,7 @@ def environment(
         return env
     if cached is None:
         try:
-            env = build()
+            env = build(_samples)
         except CapacityError as error:
             _environments[base_key] = error
             raise

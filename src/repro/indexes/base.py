@@ -17,6 +17,15 @@ Every bisection inside a descent -- over the column, node slots or
 spline points -- is one :func:`bisect` call, so the round structure
 (and with it every recorded midpoint) is defined in one place.
 
+Every probe comparison of a descent goes through the column's
+:meth:`~repro.data.column.Column.comparands`, taken once per batch: a
+materialized column compares its keys with the probes, a virtual one
+compares positions with each probe's O(1) bounds, so a descent over a
+virtual column derives no key.  The comparisons have the same truth
+values either way, so rounds, midpoints and recorded addresses do not
+depend on the column kind; only the equality check of a lookup (and
+RadixSpline's interpolation) reads real keys.
+
 One descent for all three guarantees the simulated access pattern is
 exactly the access pattern of the functional algorithm, which is the
 property the whole reproduction rests on.
@@ -31,7 +40,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .. import obs
-from ..data.column import KEY_DTYPE
+from ..data.column import KEY_DTYPE, Comparands
 from ..data.relation import Relation
 from ..errors import SimulationError
 from ..gpu.executor import LookupTrace
@@ -272,7 +281,7 @@ class Index(abc.ABC):
         self,
         lo: np.ndarray,
         hi: np.ndarray,
-        keys: np.ndarray,
+        comparands: Comparands,
         recorder: Optional[TraceRecorder],
     ) -> Tuple[np.ndarray, int]:
         """Lower-bound bisection of the column over per-lane ``[lo, hi)``.
@@ -281,13 +290,13 @@ class Index(abc.ABC):
         reads one column key per round and then, where ``lo`` is inside
         the column, the candidate match (the verification read).
         """
+        key_at, below = comparands.key_at, comparands.below
         if recorder is None:
-            return bisect(lo, hi, keys, self.column.key_at)
+            return bisect(lo, hi, below, key_at)
         allocation = self.relation.allocation
         base = allocation.base if allocation is not None else 0
         lo, rounds = bisect(
-            lo, hi, keys, self.column.key_at,
-            record=recorder.strided(base, KEY_BYTES),
+            lo, hi, below, key_at, record=recorder.strided(base, KEY_BYTES)
         )
         in_range = lo < len(self.column)
         recorder.record(
@@ -381,13 +390,14 @@ class Index(abc.ABC):
         reads past it count as above ``hi``) for the lanes still going.
         A lane that stops at round ``k`` has its end in the bracket
         ``[start + 2**k // 2, start + 2**k - 1)``, cut at ``n``, which
-        one upper-bound :func:`bisect` settles.
+        one upper-bound :func:`bisect` settles.  Reads compare the
+        column's comparands (see :class:`~repro.data.column.Comparands`).
         """
         n = len(self.column)
-        key_at = self.column.key_at
+        key_at, _, at_or_below, _ = self.column.comparands(hi)
         stop_round = np.zeros(len(starts), dtype=np.int64)
         lanes = np.arange(len(starts))
-        probes, bounds = starts, hi
+        probes, bounds = starts, at_or_below
         k = 0
         while len(lanes):
             going = key_at(np.minimum(probes, n - 1)) <= bounds
@@ -403,7 +413,8 @@ class Index(abc.ABC):
         wide = np.flatnonzero(bottom < top)
         if len(wide):
             bottom[wide], _ = bisect(
-                bottom[wide], top[wide], hi[wide], key_at, strict=False
+                bottom[wide], top[wide], at_or_below[wide], key_at,
+                strict=False,
             )
         return bottom
 

@@ -69,7 +69,7 @@ class BinarySearchIndex(Index):
         lower, rounds = self._bisect_column(
             np.zeros(len(keys), dtype=np.int64),
             np.full(len(keys), len(self.column), dtype=np.int64),
-            keys,
+            self.column.comparands(keys),
             recorder,
         )
         if obs.enabled():

@@ -34,17 +34,13 @@ import numpy as np
 
 from .. import obs
 from ..config import DEFAULT_BTREE_NODE_BYTES
-from ..data.column import KEY_DTYPE, MaterializedColumn
+from ..data.column import KEY_DTYPE, Comparands, MaterializedColumn
 from ..data.relation import Relation
 from ..errors import ConfigurationError, SimulationError
 from ..hardware.memory import MemorySpace, SystemMemory
 from ..perf.analytic import level_sweep_pages
 from ..units import KEY_BYTES
 from .base import Index, TraceRecorder, bisect
-
-#: Sentinel for "no separator here" (child beyond the data).
-_MAX_KEY = np.uint64(np.iinfo(np.uint64).max)
-
 
 class BPlusTreeIndex(Index):
     """Implicit dense-packed B+tree over a sorted column."""
@@ -143,8 +139,11 @@ class BPlusTreeIndex(Index):
     # Implicit node contents.
     # ------------------------------------------------------------------
 
-    def _keys_or_max(self, positions: np.ndarray, tail: np.ndarray) -> np.ndarray:
-        """Column keys at ``positions``; MAX at positions past the data.
+    def _node_keys(
+        self, positions: np.ndarray, tail: np.ndarray, comparands: Comparands
+    ) -> np.ndarray:
+        """Comparands of the column keys at ``positions``; ``past`` (the
+        MAX sentinel) at positions past the data.
 
         Node entries are read this way: separators (the first key of
         each child; MAX when that child starts beyond the data) and leaf
@@ -156,10 +155,10 @@ class BPlusTreeIndex(Index):
         n = len(self.column)
         past = tail[positions[tail] >= n]
         if len(past) == 0:
-            return self.column.key_at(positions)
+            return comparands.key_at(positions)
         positions[past] = 0
-        keys = self.column.key_at(positions)
-        keys[past] = _MAX_KEY
+        keys = comparands.key_at(positions)
+        keys[past] = comparands.past
         return keys
 
     def _tail_lanes(self, level: int, nodes: np.ndarray) -> np.ndarray:
@@ -174,11 +173,11 @@ class BPlusTreeIndex(Index):
         self,
         level: int,
         nodes: np.ndarray,
-        keys: np.ndarray,
+        comparands: Comparands,
         recorder: Optional[TraceRecorder],
     ) -> np.ndarray:
         """Child slot chosen in each internal node: upper_bound(separators)."""
-        count = len(keys)
+        count = len(nodes)
         slot_lo = np.zeros(count, dtype=np.int64)
         slot_hi = np.full(count, self.fanout - 1, dtype=np.int64)
         record = None
@@ -194,9 +193,9 @@ class BPlusTreeIndex(Index):
         child, _ = bisect(
             slot_lo,
             slot_hi,
-            keys,
-            lambda slots: self._keys_or_max(
-                (first_child + slots) * child_span, tail
+            comparands.at_or_below,
+            lambda slots: self._node_keys(
+                (first_child + slots) * child_span, tail, comparands
             ),
             strict=False,
             record=record,
@@ -206,7 +205,7 @@ class BPlusTreeIndex(Index):
     def _search_leaf(
         self,
         leaves: np.ndarray,
-        keys: np.ndarray,
+        comparands: Comparands,
         recorder: Optional[TraceRecorder],
     ) -> np.ndarray:
         """Lower-bound slot of each key inside its leaf.
@@ -214,7 +213,7 @@ class BPlusTreeIndex(Index):
         ``leaf_entries`` when every entry of the leaf is below the key;
         a recorded search then skips the verification read.
         """
-        count = len(keys)
+        count = len(leaves)
         slot_lo = np.zeros(count, dtype=np.int64)
         slot_hi = np.full(count, self.leaf_entries, dtype=np.int64)
         entry_bytes = KEY_BYTES + self.leaf_payload_bytes
@@ -227,8 +226,10 @@ class BPlusTreeIndex(Index):
         slots, _ = bisect(
             slot_lo,
             slot_hi,
-            keys,
-            lambda slots: self._keys_or_max(first_entry + slots, tail),
+            comparands.below,
+            lambda slots: self._node_keys(
+                first_entry + slots, tail, comparands
+            ),
             record=record,
         )
         if recorder is not None:
@@ -261,15 +262,16 @@ class BPlusTreeIndex(Index):
                 float(len(keys) * len(self.level_sizes)),
                 index=self.name,
             )
+        comparands = self.column.comparands(keys)
         nodes = np.zeros(len(keys), dtype=np.int64)
         for level in range(len(self.level_sizes) - 1):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
-            child = self._search_internal(level, nodes, keys, recorder)
+            child = self._search_internal(level, nodes, comparands, recorder)
             # Dense packing can address children past the level's end for
             # the right-most path; clamp to the last node of the next level.
             nodes = np.minimum(
                 nodes * self.fanout + child, self.level_sizes[level + 1] - 1
             )
-        slots = self._search_leaf(nodes, keys, recorder)
+        slots = self._search_leaf(nodes, comparands, recorder)
         return np.minimum(nodes * self.leaf_entries + slots, len(self.column))
 
     # ------------------------------------------------------------------

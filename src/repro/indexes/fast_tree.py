@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..data.column import KEY_DTYPE
+from ..data.column import KEY_DTYPE, MAX_KEY, Comparands
 from ..data.relation import Relation
 from ..errors import SimulationError
 from ..hardware.memory import MemorySpace, SystemMemory
@@ -34,9 +34,6 @@ from ..perf.analytic import level_sweep_pages
 from ..units import KEY_BYTES
 from .base import Index, TraceRecorder
 from .domain import clamped_int64
-
-_MAX_KEY = np.uint64(np.iinfo(np.uint64).max)
-
 
 class FastTreeIndex(Index):
     """Implicit Eytzinger-layout binary search tree over a sorted column."""
@@ -102,14 +99,22 @@ class FastTreeIndex(Index):
         subtree = np.int64(1) << (self.tree_height - depth)
         return (slots - level_start) * subtree + (subtree >> 1) - 1
 
-    def _keys_of_slots(self, slots: np.ndarray) -> np.ndarray:
-        """Keys stored at BFS slots; padding slots hold MAX."""
+    def _keys_of_slots(
+        self, slots: np.ndarray, comparands: Optional[Comparands] = None
+    ) -> np.ndarray:
+        """Keys stored at BFS slots; padding slots hold MAX.
+
+        With ``comparands`` (a descent's), their comparands instead, and
+        ``past`` in the padding slots.
+        """
+        key_at, past = self.column.key_at, MAX_KEY
+        if comparands is not None:
+            key_at, past = comparands.key_at, comparands.past
         ranks = self._ranks_of_slots(slots)
         n = len(self.column)
         exists = ranks < n
         safe = np.where(exists, ranks, 0)
-        keys = self.column.key_at(safe)
-        return np.where(exists, keys, _MAX_KEY)
+        return np.where(exists, key_at(safe), past)
 
     # ------------------------------------------------------------------
     # Descent (vectorized Eytzinger lower bound).
@@ -127,13 +132,15 @@ class FastTreeIndex(Index):
         all) means every key is below the probe: lower bound ``n``.
         """
         keys = np.asarray(keys, dtype=KEY_DTYPE)
+        comparands = self.column.comparands(keys)
+        below = comparands.below
         slots = np.ones(len(keys), dtype=np.int64)
         base = self._allocation.base if recorder is not None else 0
         for __ in range(self.tree_height):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
             if recorder is not None:
                 recorder.record(base + slots * KEY_BYTES)
-            slot_keys = self._keys_of_slots(slots)
-            slots = 2 * slots + (slot_keys < keys).astype(np.int64)
+            went_right = self._keys_of_slots(slots, comparands) < below
+            slots = 2 * slots + went_right.astype(np.int64)
         # The last left turn on the search path is the lower bound: drop
         # the trailing 1-bits plus one.
         trailing_one_block = (~slots) & (slots + 1)  # == 1 << trailing_ones

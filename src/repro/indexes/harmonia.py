@@ -21,7 +21,7 @@ child-array read, matching the cooperative search.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -137,8 +137,9 @@ class HarmoniaIndex(Index):
         self,
         level: int,
         nodes: np.ndarray,
-        keys: np.ndarray,
+        probes: np.ndarray,
         strict: bool = False,
+        key_at: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> np.ndarray:
         """Per lane: how many of its node's keys are <= the probe.
 
@@ -157,6 +158,10 @@ class HarmoniaIndex(Index):
         ``strict=True`` counts keys strictly below the probe instead --
         the leaf-level variant the lower bound needs.
 
+        ``key_at`` reads the column (``column.key_at`` by default); a
+        descent passes its comparands' ``key_at``, with ``probes`` their
+        ``at_or_below`` (or ``below`` when ``strict``).
+
         Past-the-data slots differ from a MAX-padded node only for probes
         >= the column's last key, which the descent routes to the last
         node of every level either way (child indexes clamp to the
@@ -168,6 +173,8 @@ class HarmoniaIndex(Index):
             else 1
         )
         last = len(self.column) - 1
+        if key_at is None:
+            key_at = self.column.key_at
         compare = np.less if strict else np.less_equal
         # The last key of a ``c``-slot prefix sits at column position
         # ``(first + c) * child_coverage``.
@@ -181,7 +188,7 @@ class HarmoniaIndex(Index):
             position += first
             position *= child_coverage
             np.minimum(position, last, out=position)
-            count += compare(self.column.key_at(position), keys) * step
+            count += compare(key_at(position), probes) * step
             step >>= 1
         return np.minimum(count, self.node_keys, out=count)
 
@@ -228,11 +235,14 @@ class HarmoniaIndex(Index):
                 float(len(keys) * height),
                 index=self.name,
             )
+        key_at, below, at_or_below, _ = self.column.comparands(keys)
         nodes = np.zeros(len(keys), dtype=np.int64)
         for level in range(height - 1):  # repro: noqa[PERF001] -- O(height) per-level descent over whole key arrays
             if recorder is not None:
                 self._record_visit(level, nodes, recorder)
-            counts = self._node_child_counts(level, nodes, keys)
+            counts = self._node_child_counts(
+                level, nodes, at_or_below, key_at=key_at
+            )
             child = np.maximum(counts - 1, 0).astype(np.int64)
             nodes = np.minimum(
                 nodes * self.fanout + child, self.level_sizes[level + 1] - 1
@@ -240,7 +250,7 @@ class HarmoniaIndex(Index):
         if recorder is not None:
             self._record_visit(height - 1, nodes, recorder)
         counts_lt = self._node_child_counts(
-            height - 1, nodes, keys, strict=True
+            height - 1, nodes, below, strict=True, key_at=key_at
         )
         return np.minimum(
             nodes * self.node_keys + counts_lt, len(self.column)

@@ -36,12 +36,17 @@ unrealistically sparse spline; ``uniform_interval`` therefore defaults to
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..data.column import KEY_DTYPE, MaterializedColumn, VirtualSortedColumn
+from ..data.column import (
+    KEY_DTYPE,
+    Comparands,
+    MaterializedColumn,
+    VirtualSortedColumn,
+)
 from ..data.relation import Relation
 from ..errors import ConfigurationError, SimulationError
 from ..hardware.memory import MemorySpace, SystemMemory
@@ -286,6 +291,21 @@ class RadixSplineIndex(Index):
             return self.column.key_at(self._spline_position_at(indices))
         return self.spline_keys[indices]
 
+    def _spline_comparands(
+        self, comparands: Comparands
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """Comparand of each spline point's key, for the point search.
+
+        An implicit spline's points are column positions, so their
+        comparands are the column's.  An explicit spline lies over a
+        materialized column, whose comparands are its keys: the stored
+        spline keys.
+        """
+        if self._uniform_interval is None:
+            return self._spline_key_at
+        key_at = comparands.key_at
+        return lambda indices: key_at(self._spline_position_at(indices))
+
     def _build_radix_table(self) -> None:
         num_points = self.num_spline_points
         ends = self._spline_key_at(np.asarray([0, num_points - 1]))
@@ -313,6 +333,14 @@ class RadixSplineIndex(Index):
         # so a coarse prefix sample narrows every slot to a small window
         # and a vectorized binary search finishes exactly -- identical to
         # the searchsorted above without materializing all spline keys.
+        # Point 0 has prefix 0, so slot 0's answer is point 0 and every
+        # other slot has a coarse sample below it: its answer lies in
+        # ``(c * (b - 1), c * b]`` for the ``b`` samples below it.
+        # Indexes past the last point read the last point (its position
+        # clamps to the column's end), which keeps the prefixes
+        # nondecreasing, so every window is ``c - 1`` wide -- each round
+        # runs unmasked -- and an answer past the points clamps to
+        # ``num_points``.
         coarse = 64
         coarse_prefixes = (
             (
@@ -323,9 +351,9 @@ class RadixSplineIndex(Index):
             )
             >> np.uint64(self._shift)
         ).astype(np.int64)
+        slots = slots[1:]
         block = np.searchsorted(coarse_prefixes, slots, side="left")
-        hi = np.minimum(block * coarse, num_points)
-        lo = np.maximum((block - 1) * coarse + 1, 0)
+        lo = (block - 1) * coarse + 1
 
         def prefix_at(indices):
             return (
@@ -333,7 +361,11 @@ class RadixSplineIndex(Index):
                 >> np.uint64(self._shift)
             ).astype(np.int64)
 
-        self.radix_table, _ = bisect(lo, hi, slots, prefix_at)
+        self.radix_table = np.zeros(num_slots, dtype=np.int64)
+        self.radix_table[1:], _ = bisect(
+            lo, lo + (coarse - 1), slots, prefix_at
+        )
+        np.minimum(self.radix_table, num_points, out=self.radix_table)
 
     @property
     def num_spline_points(self) -> int:
@@ -375,13 +407,18 @@ class RadixSplineIndex(Index):
     # ------------------------------------------------------------------
 
     def _predict(
-        self, keys: np.ndarray, recorder: Optional[TraceRecorder]
+        self,
+        keys: np.ndarray,
+        comparands: Comparands,
+        recorder: Optional[TraceRecorder],
     ) -> np.ndarray:
         """Predicted column position of each key (steps 1-3 of a lookup).
 
         The first half of :meth:`_lower_bound`.  The prediction is the
         piecewise-linear spline evaluated at the probe, so it is monotone
         in the key -- the property the search-margin argument rests on.
+        The spline-point search compares the column's ``comparands`` of
+        the points' keys; the interpolation reads the keys themselves.
         """
         n = len(self.column)
         # 1. Radix table: one read per lookup.  Clamp-then-subtract in
@@ -412,7 +449,8 @@ class RadixSplineIndex(Index):
                 self._spline_allocation.base, _SPLINE_POINT_BYTES
             )
         first_above, spline_rounds = bisect(
-            seg_lo, seg_hi, keys, self._spline_key_at, record=record
+            seg_lo, seg_hi, comparands.below,
+            self._spline_comparands(comparands), record=record,
         )
         upper = np.clip(first_above, 1, self.num_spline_points - 1)
         # A one-key implicit spline has a single point: upper == 0.
@@ -469,12 +507,13 @@ class RadixSplineIndex(Index):
         n = len(self.column)
         if margin is None:
             margin = self.error_bound + 2
-        estimate = self._predict(keys, recorder)
+        comparands = self.column.comparands(keys)
+        estimate = self._predict(keys, comparands, recorder)
         # 4. Bounded binary search of the data.
         search_lo = np.maximum(estimate - margin, 0)
         search_hi = np.minimum(estimate + margin + 1, n)
         lower, data_rounds = self._bisect_column(
-            search_lo, search_hi, keys, recorder
+            search_lo, search_hi, comparands, recorder
         )
         if obs.enabled():
             obs.add(

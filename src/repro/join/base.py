@@ -17,7 +17,13 @@ import numpy as np
 
 from ..config import DEFAULT_CONFIG, SimulationConfig
 from ..data.column import Column, KEY_DTYPE
-from ..data.generator import WorkloadConfig, make_build_relation
+from ..data.generator import (
+    ProbeSet,
+    WorkloadConfig,
+    make_build_relation,
+    make_ordered_probe_sample,
+    make_probe_keys,
+)
 from ..errors import WorkloadError
 from ..gpu.executor import MachineModel
 from ..hardware.memory import MemorySpace
@@ -144,6 +150,10 @@ class QueryEnvironment:
     the simulated allocator, so over-capacity configurations raise
     :class:`~repro.errors.CapacityError` exactly where the paper's
     hardware ran out of memory.
+
+    ``samples`` memoizes the probe samples ``estimate()`` draws (see
+    :meth:`probe_sample`); :func:`repro.experiments.cache.environment`
+    hands every environment of a session the same memo.
     """
 
     def __init__(
@@ -154,6 +164,7 @@ class QueryEnvironment:
         sim: SimulationConfig = DEFAULT_CONFIG,
         calibration: CalibrationConstants = DEFAULT_CALIBRATION,
         index_kwargs: Optional[dict] = None,
+        samples: Optional[dict] = None,
     ):
         self.spec = spec
         self.workload = workload
@@ -170,10 +181,41 @@ class QueryEnvironment:
             kwargs = index_kwargs or {}
             self.index = index_cls(self.relation, **kwargs)
             self.index.place(self.machine.memory)
+        self.samples = {} if samples is None else samples
 
     @property
     def column(self) -> Column:
         return self.relation.column
+
+    def probe_sample(
+        self, count: int, window_tuples: Optional[int] = None
+    ) -> ProbeSet:
+        """The probe sample of an ``estimate()``, drawn once per memo.
+
+        Without ``window_tuples``, ``count`` stream-order probes
+        (:func:`~repro.data.generator.make_probe_keys`); with it, the
+        ordered sample of one window of that many tuples
+        (:func:`~repro.data.generator.make_ordered_probe_sample`).  A
+        sample is a pure function of the column -- itself one of the
+        workload -- and these arguments, so it is kept under (workload,
+        window, count), the window also naming the sampler, and shared
+        by every environment holding the same memo, whatever its index.
+        Its arrays are read-only.
+        """
+        key = (self.workload, window_tuples, count)
+        sample = self.samples.get(key)
+        if sample is not None:
+            return sample
+        if window_tuples is None:
+            sample = make_probe_keys(self.column, self.workload, count=count)
+        else:
+            sample = make_ordered_probe_sample(
+                self.column, self.workload, window_tuples, count
+            )
+        sample.keys.flags.writeable = False
+        sample.expected_positions.flags.writeable = False
+        self.samples[key] = sample
+        return sample
 
     @property
     def s_bytes(self) -> int:

@@ -36,7 +36,6 @@ import numpy as np
 from .. import obs
 from ..config import DEFAULT_WINDOW_BYTES
 from ..data.column import Column, KEY_DTYPE
-from ..data.generator import make_ordered_probe_sample, make_probe_keys
 from ..errors import ConfigurationError, WorkloadError
 from ..gpu.streams import (
     StageTiming,
@@ -190,9 +189,7 @@ class BandJoin:
             )
         s_tuples = float(env.workload.s_tuples)
         env.machine.reset_hierarchy()
-        sample = make_probe_keys(
-            env.column, env.workload, count=env.sim.probe_sample
-        )
+        sample = env.probe_sample(env.sim.probe_sample)
         lookup = self.index.trace_lookups(sample.keys)
         raw = env.machine.simulate_lookups(
             lookup.trace, simulate_tlb=True, shuffle=True
@@ -375,11 +372,8 @@ class _WindowedNonEqui:
         -- the windowed advantage the sweep measures.
         """
         window = min(self.window_tuples, env.workload.s_tuples)
-        sample = make_ordered_probe_sample(
-            env.column,
-            env.workload,
-            window_tuples=window,
-            count=min(env.sim.probe_sample, window),
+        sample = env.probe_sample(
+            min(env.sim.probe_sample, window), window_tuples=window
         )
         env.machine.reset_hierarchy()
         lookup = self.index.trace_lookups(sample.keys)

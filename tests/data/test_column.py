@@ -233,3 +233,149 @@ def test_virtual_keys_match_formula_reference(
         + noise
     )
     np.testing.assert_array_equal(column.key_at(positions), expected)
+
+
+# ---------------------------------------------------------------------------
+# O(1) bounds and comparands of virtual columns.
+# ---------------------------------------------------------------------------
+
+
+def masked_bound_positions(column, keys, side):
+    """Reference: the masked ``key_at`` bisection that ``bound_positions``
+    ran for every column kind before virtual columns had O(1) bounds."""
+    keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
+    n = len(column)
+    lo = np.zeros(len(keys), dtype=np.int64)
+    hi = np.full(len(keys), n, dtype=np.int64)
+    while True:
+        active = lo < hi
+        if not active.any():
+            break
+        mid = (lo + hi) >> 1
+        mid_keys = column.key_at(np.where(active, mid, 0))
+        if side == "left":
+            go_right = active & (mid_keys < keys)
+        else:
+            go_right = active & (mid_keys <= keys)
+        lo = np.where(go_right, mid + 1, lo)
+        hi = np.where(active & ~go_right, mid, hi)
+    return lo
+
+
+def edge_probes(column, rng, count=200):
+    """Every probe class the bounds distinguish: 0, below the offset,
+    members, members +/- 1, the last key, past the end and the top of
+    the signed and unsigned 64-bit ranges."""
+    n = len(column)
+    members = column.key_at(rng.integers(0, n, size=count))
+    last = column.key_at(np.asarray([n - 1]))
+    offset = np.uint64(column.offset)
+    fixed = [
+        0,
+        max(column.offset - 1, 0),
+        column.offset,
+        int(last[0]) + 1,
+        int(last[0]) + column.stride + 7,
+        2**63 - 1,
+        2**63,
+        2**64 - 1,
+    ]
+    return np.concatenate(
+        [
+            np.asarray(fixed, dtype=np.uint64),
+            offset // np.uint64(2) + np.arange(3, dtype=np.uint64),
+            members,
+            members + np.uint64(1),
+            members - np.uint64(1),
+            last,
+        ]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_keys=st.integers(min_value=1, max_value=3000),
+    stride=st.integers(min_value=1, max_value=7),
+    offset=st.sampled_from([0, 1, 5, 1000, 2**40]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_virtual_bounds_match_searchsorted(num_keys, stride, offset, seed):
+    """Both O(1) bounds equal ``searchsorted`` over a materialized copy,
+    and ``rank_of`` agrees with membership in it."""
+    column = VirtualSortedColumn(
+        num_keys, stride=stride, offset=offset, seed=seed
+    )
+    keys = column.key_at(np.arange(num_keys, dtype=np.int64))
+    probes = edge_probes(column, np.random.default_rng(seed))
+    for side in ("left", "right"):
+        expected = np.searchsorted(keys, probes, side=side)
+        np.testing.assert_array_equal(
+            column.bound_positions(probes, side=side), expected
+        )
+    lower = np.searchsorted(keys, probes, side="left")
+    member = np.searchsorted(keys, probes, side="right") > lower
+    np.testing.assert_array_equal(
+        column.rank_of(probes), np.where(member, lower, -1)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_keys=st.integers(min_value=1, max_value=3000),
+    stride=st.integers(min_value=1, max_value=7),
+    offset=st.sampled_from([0, 3, 2**40]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_virtual_comparands_preserve_every_comparison(
+    num_keys, stride, offset, seed
+):
+    """For every position and probe, comparing comparands gives the truth
+    value comparing keys gives -- past-the-data slots included, which
+    compare like the MAX key."""
+    column = VirtualSortedColumn(
+        num_keys, stride=stride, offset=offset, seed=seed
+    )
+    positions = np.arange(num_keys, dtype=np.int64)
+    keys = column.key_at(positions)
+    probes = edge_probes(column, np.random.default_rng(seed), count=40)
+    key_at, below, at_or_below, past = column.comparands(probes)
+    slots = key_at(positions)
+    np.testing.assert_array_equal(
+        slots[:, None] < below[None, :], keys[:, None] < probes[None, :]
+    )
+    np.testing.assert_array_equal(
+        slots[:, None] <= at_or_below[None, :],
+        keys[:, None] <= probes[None, :],
+    )
+    max_key = np.uint64(2**64 - 1)
+    np.testing.assert_array_equal(past < below, max_key < probes)
+    np.testing.assert_array_equal(past <= at_or_below, max_key <= probes)
+
+
+def test_materialized_comparands_are_keys():
+    column = MaterializedColumn(np.array([1, 5, 9], dtype=np.uint64))
+    probes = np.array([0, 5, 2**64 - 1], dtype=np.uint64)
+    key_at, below, at_or_below, past = column.comparands(probes)
+    assert key_at(np.array([2])).tolist() == [9]
+    assert below is at_or_below
+    np.testing.assert_array_equal(below, probes)
+    assert past == np.uint64(2**64 - 1)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 4, 7, 64])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_virtual_bounds_match_masked_bisection(stride, side, rng):
+    """The O(1) bounds answer what the masked bisection they replace
+    answered, at a size where a copy would be large."""
+    column = VirtualSortedColumn(2**30, stride=stride, offset=77, seed=9)
+    probes = edge_probes(column, rng, count=2000)
+    np.testing.assert_array_equal(
+        column.bound_positions(probes, side=side),
+        masked_bound_positions(column, probes, side),
+    )
+
+
+def test_bound_positions_rejects_bad_side():
+    column = VirtualSortedColumn(100, stride=4)
+    with pytest.raises(ConfigurationError):
+        column.bound_positions(np.array([5], dtype=np.uint64), side="up")

@@ -8,7 +8,9 @@ The contracts under test:
 * the session cache returns identical results with and without caching,
   shares one build across Zipf variants, and replays capacity failures;
 * caching is off by default, so unrelated tests build independent
-  environments.
+  environments;
+* in a session, the probe sample of one workload, window and count is
+  drawn once and shared, read-only, by every index's environment.
 """
 
 import pytest
@@ -172,3 +174,67 @@ class TestSessionCache:
             == series_dump(second[0])
         )
         assert not cache.is_enabled()
+
+
+class TestSampleMemo:
+    """One probe sample per (workload, window, count) in a session."""
+
+    THETA = 1.0
+    R_TUPLES = common.gib_to_tuples(1.0)
+
+    def _estimates(self):
+        """Windowed-INLJ estimates of one θ for every index class."""
+        from repro.indexes import ALL_INDEX_TYPES
+        from repro.join.window import WindowedINLJ
+
+        envs, costs = [], []
+        for index_cls in ALL_INDEX_TYPES:
+            env = common.make_environment(
+                V100_NVLINK2,
+                self.R_TUPLES,
+                index_cls=index_cls,
+                sim=TINY_SIM,
+                zipf_theta=self.THETA,
+            )
+            join = WindowedINLJ(
+                env.index,
+                common.default_partitioner(env.column),
+                window_bytes=2**25,
+            )
+            costs.append(join.estimate(env))
+            envs.append(env)
+        return envs, costs
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Counts the ordered-sample draws of the environments."""
+        from repro.join import base
+
+        calls = []
+        original = base.make_ordered_probe_sample
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(base, "make_ordered_probe_sample", counting)
+        return calls
+
+    def test_one_draw_per_theta_in_a_session(self, draws):
+        with cache.session():
+            envs, cached = self._estimates()
+        assert len(draws) == 1
+        assert all(env.samples is envs[0].samples for env in envs)
+        (sample,) = envs[0].samples.values()
+        for array in (sample.keys, sample.expected_positions):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        cache.clear()
+        assert envs[0].samples == {}
+        _, plain = self._estimates()
+        assert len(draws) == 1 + len(plain)
+        for left, right in zip(cached, plain):
+            assert left.seconds == right.seconds
+            assert left.breakdown == right.breakdown
+            assert left.counters == right.counters

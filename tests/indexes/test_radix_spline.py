@@ -361,3 +361,39 @@ class TestLargeKeyRegressions:
             warnings.simplefilter("error")
             result = index.lookup(probes)
         np.testing.assert_array_equal(result, [-1, -1, 999, -1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_keys=st.one_of(
+        st.integers(min_value=1, max_value=300_000),
+        # Last spline point a coarse (every 64th) sample, or one past it.
+        st.sampled_from([64 * 4 + 1, 64 * 64 * 4 + 1, 64 * 64 * 4 + 2]),
+    ),
+    stride=st.integers(min_value=1, max_value=7),
+    radix_bits=st.integers(min_value=1, max_value=18),
+    max_error=st.sampled_from([1, 2, 32]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_implicit_radix_table_matches_searchsorted(
+    num_keys, stride, radix_bits, max_error, seed
+):
+    """The implicit spline's radix table (coarse sample + unmasked
+    bisection) equals a searchsorted over every spline point's prefix."""
+    from repro.data.relation import Relation
+
+    column = VirtualSortedColumn(num_keys, stride=stride, seed=seed)
+    index = RadixSplineIndex(
+        Relation(name="R", column=column),
+        max_error=max_error,
+        radix_bits=radix_bits,
+    )
+    points = np.arange(index.num_spline_points, dtype=np.int64)
+    prefixes = (
+        (index._spline_key_at(points) - np.uint64(index._min_key))
+        >> np.uint64(index._shift)
+    ).astype(np.int64)
+    slots = np.arange(len(index.radix_table), dtype=np.int64)
+    np.testing.assert_array_equal(
+        index.radix_table, np.searchsorted(prefixes, slots, side="left")
+    )
